@@ -1,10 +1,10 @@
 """Microbenchmarks of the NN substrate's hot paths.
 
 Not tied to a paper table — these measure the primitives every federated
-round is built from (conv forward/backward via im2col, a full client
-training step, CVAE ELBO step, flat-vector round-trip), so performance
-regressions in the substrate are visible independently of the federation
-benches.
+round is built from (conv forward/backward via im2col, the im2col/col2im
+and max-pool kernels themselves, a full client training step, CVAE ELBO
+step, flat-vector round-trip), so performance regressions in the
+substrate are visible independently of the federation benches.
 """
 
 import numpy as np
@@ -67,20 +67,32 @@ def test_bench_decoder_generation(benchmark):
     benchmark(lambda: cvae.generate(labels, rng))
 
 
-def test_bench_im2col_indices_uncached(benchmark):
-    """The seed's per-call index construction (cache bypassed)."""
-    from repro.nn.functional import _im2col_indices_cached
+@pytest.fixture(scope="module")
+def conv_input():
+    """The input of the paper_scaled CNN's second conv in training: a
+    32-sample batch of 8-channel 8x8 maps (5x5 kernel, padding 2)."""
+    return np.random.default_rng(3).standard_normal((32, 8, 8, 8))
 
-    compute = _im2col_indices_cached.__wrapped__
-    benchmark(lambda: compute(8, 16, 16, 5, 5, 2, 1))
+
+def test_bench_im2col(benchmark, conv_input):
+    benchmark(lambda: nn.functional.im2col(conv_input, 5, 5, padding=2))
 
 
-def test_bench_im2col_indices_cached(benchmark):
-    """The memoized path every conv forward/backward now takes."""
-    from repro.nn.functional import im2col_indices
+def test_bench_col2im(benchmark, conv_input):
+    cols = nn.functional.im2col(conv_input, 5, 5, padding=2)
+    benchmark(lambda: nn.functional.col2im(cols, conv_input.shape, 5, 5, padding=2))
 
-    im2col_indices((32, 8, 16, 16), 5, 5, 2, 1)  # warm the cache
-    benchmark(lambda: im2col_indices((32, 8, 16, 16), 5, 5, 2, 1))
+
+def test_bench_maxpool_forward_backward(benchmark, conv_input):
+    activations = np.maximum(conv_input, 0.0)
+    pool = nn.MaxPool2d(2)
+    grad = np.ones((32, 8, 4, 4))
+
+    def step():
+        pool(activations)
+        pool.backward(grad)
+
+    benchmark(step)
 
 
 def test_bench_parameter_roundtrip(benchmark):

@@ -6,9 +6,13 @@ parameter/state management on top.
 
 The convolution primitives follow the classic im2col/col2im scheme: a
 (batch, channels, H, W) tensor is unfolded into a matrix of receptive-field
-columns so that the convolution itself becomes a single BLAS ``matmul`` —
-per the HPC guidance, there are no per-sample or per-pixel Python loops
-anywhere in the forward or backward passes.
+columns so that the convolution itself becomes a single BLAS ``matmul``.
+Both are strided-view kernels with no per-sample or per-pixel Python
+loops and no index arrays: ``im2col`` copies one ``as_strided`` window
+view of the padded input into the column matrix, and ``col2im`` folds
+the columns back with one strided slice-add per kernel offset
+(``fh*fw`` adds), so each pixel sums its contributions in ``(ki, kj)``
+order.
 
 Every public function carries an :func:`~repro.analysis.contracts.array_contract`
 shape/dtype precondition. The decorators are no-ops (the raw functions,
@@ -19,14 +23,12 @@ instead of propagating NaNs through a federation.
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from ..analysis.contracts import array_contract, client_batched
 
 __all__ = [
-    "im2col_indices",
     "im2col",
     "col2im",
     "softmax",
@@ -37,81 +39,24 @@ __all__ = [
 ]
 
 
-@functools.lru_cache(maxsize=None)
-def _im2col_indices_cached(
-    channels: int,
-    height: int,
-    width: int,
+def _output_size(
+    x_shape: tuple[int, ...],
     field_height: int,
     field_width: int,
     padding: int,
     stride: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Compute (and memoize) the gather indices for one unfold geometry.
-
-    The arrays depend only on (C, H, W, kernel, padding, stride) — not on
-    the batch size — yet the seed recomputed them identically for every
-    batch of every epoch of every client. The cache is tiny (a handful of
-    geometries per federation) and the arrays are marked read-only so a
-    caller cannot corrupt a shared entry.
-    """
+) -> tuple[int, int]:
+    """Spatial output size of an unfold; raises on a non-positive one."""
+    height, width = x_shape[2], x_shape[3]
     out_height = (height + 2 * padding - field_height) // stride + 1
     out_width = (width + 2 * padding - field_width) // stride + 1
     if out_height <= 0 or out_width <= 0:
         raise ValueError(
             f"im2col produced non-positive output size for input "
-            f"(N, {channels}, {height}, {width}) with kernel "
-            f"({field_height}, {field_width}), padding {padding}, "
-            f"stride {stride}"
+            f"{tuple(x_shape)} with kernel ({field_height}, {field_width}), "
+            f"padding {padding}, stride {stride}"
         )
-
-    i0 = np.repeat(np.arange(field_height), field_width)
-    i0 = np.tile(i0, channels)
-    i1 = stride * np.repeat(np.arange(out_height), out_width)
-    j0 = np.tile(np.arange(field_width), field_height * channels)
-    j1 = stride * np.tile(np.arange(out_width), out_height)
-    i = i0.reshape(-1, 1) + i1.reshape(1, -1)
-    j = j0.reshape(-1, 1) + j1.reshape(1, -1)
-    k = np.repeat(np.arange(channels), field_height * field_width).reshape(-1, 1)
-    for arr in (k, i, j):
-        arr.setflags(write=False)
-    return k, i, j
-
-
-def im2col_indices(
-    x_shape: tuple[int, int, int, int],
-    field_height: int,
-    field_width: int,
-    padding: int,
-    stride: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Compute the (k, i, j) gather indices for an im2col unfold.
-
-    Results are cached per geometry (batch size does not participate);
-    the returned arrays are shared and read-only.
-
-    Parameters
-    ----------
-    x_shape:
-        Shape of the input tensor ``(N, C, H, W)``.
-    field_height, field_width:
-        Size of the convolution kernel.
-    padding:
-        Symmetric zero padding applied to both spatial dimensions.
-    stride:
-        Convolution stride (same for both spatial dimensions).
-
-    Returns
-    -------
-    (k, i, j):
-        Index arrays such that ``x_padded[:, k, i, j]`` yields the unfolded
-        receptive fields with shape ``(N, C*fh*fw, out_h*out_w)``.
-    """
-    _, channels, height, width = x_shape
-    return _im2col_indices_cached(
-        int(channels), int(height), int(width),
-        int(field_height), int(field_width), int(padding), int(stride),
-    )
+    return out_height, out_width
 
 
 @array_contract(x={"ndim": 4, "dtype": "numeric"})
@@ -124,30 +69,38 @@ def im2col(
 ) -> np.ndarray:
     """Unfold ``x`` of shape (N, C, H, W) into columns.
 
-    Returns an array of shape ``(C*fh*fw, N*out_h*out_w)`` whose columns are
-    flattened receptive fields, ready to be multiplied by a flattened
-    weight matrix.
+    Returns an owned, C-contiguous array of shape
+    ``(C*fh*fw, N*out_h*out_w)`` whose columns are flattened receptive
+    fields, ready to be multiplied by a flattened weight matrix. Row
+    index is ``(c*fh + ki)*fw + kj``; column index is ``n*L + l`` with
+    ``L = out_h*out_w`` (batch-major). The conv layer's output reshape
+    relies on this exact layout.
     """
-    if padding > 0:
-        x = np.pad(
-            x,
-            ((0, 0), (0, 0), (padding, padding), (padding, padding)),
-            mode="constant",
-        )
-    k, i, j = im2col_indices(
-        (x.shape[0], x.shape[1], x.shape[2] - 2 * padding, x.shape[3] - 2 * padding)
-        if padding > 0
-        else x.shape,
-        field_height,
-        field_width,
-        padding,
-        stride,
+    batch, channels, height, width = x.shape
+    out_height, out_width = _output_size(
+        x.shape, field_height, field_width, padding, stride
     )
-    cols = x[:, k, i, j]  # (N, C*fh*fw, out_h*out_w)
-    channels = x.shape[1]
-    # Column ordering is (batch, location): column index = n * L + l. The
-    # conv layer's output reshape relies on this exact layout.
-    cols = cols.transpose(1, 0, 2).reshape(field_height * field_width * channels, -1)
+    if padding > 0:
+        padded = np.zeros(
+            (batch, channels, height + 2 * padding, width + 2 * padding), dtype=x.dtype
+        )
+        padded[:, :, padding:-padding, padding:-padding] = x
+        x = padded
+    # A zero-copy (C, fh, fw, N, out_h, out_w) view of the receptive
+    # fields, in exactly the column matrix's element order, so one copy
+    # materializes the columns.
+    sn, sc, sh, sw = x.strides
+    windows = as_strided(
+        x,
+        shape=(channels, field_height, field_width, batch, out_height, out_width),
+        strides=(sc, sh, sw, sn, stride * sh, stride * sw),
+        writeable=False,
+    )
+    cols = np.empty(
+        (channels * field_height * field_width, batch * out_height * out_width),
+        dtype=x.dtype,
+    )
+    cols.reshape(windows.shape)[...] = windows
     return cols
 
 
@@ -163,16 +116,27 @@ def col2im(
     """Fold columns back into an image tensor, accumulating overlaps.
 
     This is the adjoint of :func:`im2col` and is used to propagate gradients
-    through the unfold.
+    through the unfold. Each kernel offset ``(ki, kj)`` adds its
+    ``(N, C, out_h, out_w)`` slab of columns into one strided slice of the
+    padded image, ``ki`` outer and ``kj`` inner, so every pixel sums its
+    contributions in ``(ki, kj)`` order starting from 0.0.
     """
     batch, channels, height, width = x_shape
-    h_padded, w_padded = height + 2 * padding, width + 2 * padding
-    x_padded = np.zeros((batch, channels, h_padded, w_padded), dtype=cols.dtype)
-    k, i, j = im2col_indices(x_shape, field_height, field_width, padding, stride)
-    cols_reshaped = cols.reshape(channels * field_height * field_width, batch, -1)
-    cols_reshaped = cols_reshaped.transpose(1, 0, 2)
-    # np.add.at accumulates contributions from overlapping receptive fields.
-    np.add.at(x_padded, (slice(None), k, i, j), cols_reshaped)
+    out_height, out_width = _output_size(
+        x_shape, field_height, field_width, padding, stride
+    )
+    x_padded = np.zeros(
+        (batch, channels, height + 2 * padding, width + 2 * padding), dtype=cols.dtype
+    )
+    cols6 = cols.reshape(
+        channels, field_height, field_width, batch, out_height, out_width
+    )
+    h_extent, w_extent = stride * out_height, stride * out_width
+    for ki in range(field_height):
+        for kj in range(field_width):
+            x_padded[
+                :, :, ki:ki + h_extent:stride, kj:kj + w_extent:stride
+            ] += cols6[:, ki, kj].transpose(1, 0, 2, 3)
     if padding == 0:
         return x_padded
     return x_padded[:, :, padding:-padding, padding:-padding]

@@ -136,11 +136,10 @@ class Conv2d(Module):
     def _forward_batched(self, x: np.ndarray) -> np.ndarray:
         # K stacked kernels (K, out_c, in_c, k, k) over K stacked image
         # batches (K, N, in_c, H, W). The client axis is folded into the
-        # im2col batch (reusing the per-geometry index memo — batch size
-        # never keys the cache) and one stacked GEMM applies each client's
-        # kernel to exactly its own columns: im2col's column index is
-        # m*L + l, so splitting the m = j*N + i axis recovers client j's
-        # unstacked column matrix bit-for-bit.
+        # im2col batch and one stacked GEMM applies each client's kernel
+        # to exactly its own columns: im2col's column index is m*L + l, so
+        # splitting the m = j*N + i axis recovers client j's unstacked
+        # column matrix bit-for-bit.
         if x.ndim != 5 or x.shape[2] != self.in_channels:
             raise ValueError(
                 f"client-batched Conv2d expects (K, N, {self.in_channels}, H, W), "
@@ -200,9 +199,13 @@ class Conv2d(Module):
 class MaxPool2d(Module):
     """Non-overlapping max pooling with ``kernel_size == stride``.
 
-    Implemented by reshaping into pooling windows — the fastest pure-NumPy
-    route when windows do not overlap, which is all the paper's
-    architecture needs (2×2/2).
+    The input is viewed as ``(..., H/k, k, W/k, k)`` windows. The forward
+    takes the max with ``np.maximum`` over the ``k*k`` strided window
+    slices, in row-major window order, instead of reducing over two
+    non-adjacent axes; the backward counts each window's maxima as an
+    integer sum of the same slices of the mask. Non-overlapping windows
+    are all the paper's architecture needs (2×2/2). Ties route the
+    gradient to every maximal element, split evenly.
     """
 
     def __init__(self, kernel_size: int) -> None:
@@ -214,32 +217,30 @@ class MaxPool2d(Module):
         if x.ndim == 5:
             return self._forward_batched(x)
         n, c, h, w = x.shape
-        k = self.kernel_size
-        if h % k or w % k:
-            raise ValueError(
-                f"MaxPool2d({k}) requires spatial dims divisible by {k}, got {h}x{w}"
-            )
-        reshaped = x.reshape(n, c, h // k, k, w // k, k)
-        out = reshaped.max(axis=(3, 5))
-        # Mask of argmax positions for routing gradients. Ties route the
-        # gradient to every maximal element, matching subgradient semantics.
-        mask = reshaped == out[:, :, :, None, :, None]
-        self._cache = (x.shape, mask)
-        return out
+        return self._pool(x, (n, c))
 
     @client_batched
     def _forward_batched(self, x: np.ndarray) -> np.ndarray:
-        # (K, N, C, H, W): same window reshape with the client axis riding
+        # (K, N, C, H, W): the same windows with the client axis riding
         # in front; max/mask are exact per slice.
         clients, n, c, h, w = x.shape
+        return self._pool(np.ascontiguousarray(x), (clients, n, c))
+
+    def _pool(self, x: np.ndarray, lead: tuple[int, ...]) -> np.ndarray:
+        h, w = x.shape[-2:]
         k = self.kernel_size
         if h % k or w % k:
             raise ValueError(
                 f"MaxPool2d({k}) requires spatial dims divisible by {k}, got {h}x{w}"
             )
-        reshaped = np.ascontiguousarray(x).reshape(clients, n, c, h // k, k, w // k, k)
-        out = reshaped.max(axis=(4, 6))
-        mask = reshaped == out[:, :, :, :, None, :, None]
+        windows = x.reshape(*lead, h // k, k, w // k, k)
+        slices = [windows[..., a, :, b] for a in range(k) for b in range(k)]
+        out = np.maximum(slices[0], slices[1]) if k > 1 else slices[0].copy()
+        for window_slice in slices[2:]:
+            np.maximum(out, window_slice, out=out)
+        # Mask of argmax positions for routing gradients. Ties route the
+        # gradient to every maximal element, matching subgradient semantics.
+        mask = windows == out[..., None, :, None]
         self._cache = (x.shape, mask)
         return out
 
@@ -248,14 +249,12 @@ class MaxPool2d(Module):
             raise RuntimeError("backward called before forward")
         x_shape, mask = self._cache
         k = self.kernel_size
-        if len(x_shape) == 5:
-            counts = mask.sum(axis=(4, 6), keepdims=True)
-            grad = (mask / counts) * grad_output[:, :, :, :, None, :, None]
-            return grad.reshape(x_shape)
-        n, c, h, w = x_shape
-        counts = mask.sum(axis=(3, 5), keepdims=True)
-        grad = (mask / counts) * grad_output[:, :, :, None, :, None]
-        return grad.reshape(n, c, h, w)
+        counts = np.zeros(mask.shape[:-3] + mask.shape[-2:-1], dtype=np.int_)
+        for a in range(k):
+            for b in range(k):
+                counts += mask[..., a, :, b]
+        grad = (mask / counts[..., None, :, None]) * grad_output[..., None, :, None]
+        return grad.reshape(x_shape)
 
 
 class Flatten(Module):
