@@ -1,9 +1,9 @@
 #!/usr/bin/env python
 """Population-scaling benchmark: million-client federations in O(m) per round.
 
-Builds a lazy virtual-population federation (``population="lazy"``,
-``partition_scheme="virtual"``) at two sizes orders of magnitude apart and
-measures what the lazy registry promises:
+Builds a lazy virtual-population federation
+(``partition_scheme="virtual"``) at two sizes orders of magnitude apart
+and measures what the lazy registry promises:
 
 * **memory flat in n_clients** — tracemalloc peak across build + rounds
   must be within ``MEM_RATIO_CEILING`` of the small federation's peak,
@@ -72,7 +72,6 @@ def bench_config(n_clients: int, m: int) -> FederationConfig:
         test_samples=64,
         partition_scheme="virtual",
         virtual_samples_per_client=16,
-        population="lazy",
         model=ModelConfig(kind="mlp", image_size=8, mlp_hidden=8,
                           cvae_hidden=24, cvae_latent=4),
     )

@@ -441,11 +441,10 @@ class ScheduleAdversary:
       re-heapifies. With total-order entry keys (the RG305 contract —
       unique ``seq`` at index 1) the pop sequence is invariant; an entry
       relying on insertion order or payload identity diverges.
-    * :meth:`permutation` reorders worker result collection / submission
-      interleavings. Because both process backends reassemble results in
-      canonical client order (``packed_by_id`` / un-permuted write-back),
-      history bytes must not move; a backend that leaked arrival order
-      into aggregation would.
+    * :meth:`permutation` reorders worker result collection. Because the
+      process pool reassembles results in canonical client order
+      (``packed_by_id``), history bytes must not move; a backend that
+      leaked arrival order into aggregation would.
 
     Draws come from a dedicated :class:`random.Random` so the adversary
     never touches any federation RNG stream.
@@ -465,7 +464,7 @@ class ScheduleAdversary:
         heapq.heapify(heap)
 
     def permutation(self, n: int) -> list[int]:
-        """A random permutation of ``range(n)`` (collect/submit order)."""
+        """A random permutation of ``range(n)`` (collection order)."""
         order = list(range(n))
         self._rand.shuffle(order)
         return order
@@ -531,13 +530,15 @@ def _sanitizer_config(mode: str, seed: int):
     return FederationConfig.tiny(seed=seed, rounds=2)
 
 
-def _run_schedule_cell(config, backend_kind: str | None, workers: int,
+def _run_schedule_cell(config, workers: int,
                        adversary_seed: int | None) -> bytes:
-    """One federation under one (backend, adversary) schedule; returns
-    normalized history bytes. The previous adversary is always restored."""
+    """One federation under one adversary schedule — sequential when
+    ``workers`` is 0, else on a resident pool of that many workers;
+    returns normalized history bytes. The previous adversary is always
+    restored."""
     from repro.experiments.scenarios import make_scenario, make_strategy
     from repro.fl import build_federation
-    from repro.fl.parallel import LegacyProcessPoolBackend, ProcessPoolBackend
+    from repro.fl.parallel import ProcessPoolBackend
 
     global _SCHEDULE_ADVERSARY
     previous = _SCHEDULE_ADVERSARY
@@ -548,14 +549,10 @@ def _run_schedule_cell(config, backend_kind: str | None, workers: int,
     try:
         strategy = make_strategy("fedavg")
         scenario = make_scenario("label_flipping_30")
-        if backend_kind is None:
+        if not workers:
             history = build_federation(config, strategy, scenario).run()
         else:
-            factory = {
-                "process": ProcessPoolBackend,
-                "process_legacy": LegacyProcessPoolBackend,
-            }[backend_kind]
-            with factory(max_workers=workers) as backend:
+            with ProcessPoolBackend(max_workers=workers) as backend:
                 server = build_federation(
                     config, strategy, scenario, backend=backend
                 )
@@ -567,36 +564,32 @@ def _run_schedule_cell(config, backend_kind: str | None, workers: int,
 
 def schedule_sanitizer_report(
     modes: tuple = ("sync", "async"),
-    backends: tuple = ("process", "process_legacy"),
     schedules: int = 3,
     seed: int = 7,
 ) -> dict:
     """Re-run a smoke federation under adversarial schedules; compare bytes.
 
     For each server mode, an unperturbed sequential run fixes the
-    reference history. Every (backend × schedule) cell then re-runs the
-    same federation under a distinct adversary seed — shuffled heap
-    layouts, permuted worker-result collection, permuted submission
-    interleavings — and a varied worker count (1..3, permuting sticky
-    client placement). Any cell whose normalized history bytes differ
-    from the reference lands in ``divergences``; CI fails on a non-empty
-    list. Like :func:`verify_aggregate`, this harness always checks,
-    independent of ``REPRO_CHECK_SCHEDULES`` (the env var arms the hooks
-    for *ordinary* runs; the harness arms them itself per cell).
+    reference history. Every schedule cell then re-runs the same
+    federation on the resident process pool under a distinct adversary
+    seed — shuffled heap layouts, permuted worker-result collection — and
+    a varied worker count (1..3, permuting sticky client placement). Any
+    cell whose normalized history bytes differ from the reference lands in
+    ``divergences``; CI fails on a non-empty list. Like
+    :func:`verify_aggregate`, this harness always checks, independent of
+    ``REPRO_CHECK_SCHEDULES`` (the env var arms the hooks for *ordinary*
+    runs; the harness arms them itself per cell).
     """
     report: dict = {"runs": 0, "cells": [], "divergences": []}
     for mode in modes:
         config = _sanitizer_config(mode, seed)
-        reference = _run_schedule_cell(config, None, 0, None)
-        for backend_kind in backends:
-            for schedule in range(schedules):
-                workers = (schedule % 3) + 1
-                cell = f"{mode}/{backend_kind}/w{workers}/schedule{schedule}"
-                got = _run_schedule_cell(
-                    config, backend_kind, workers, adversary_seed=schedule
-                )
-                report["runs"] += 1
-                report["cells"].append(cell)
-                if got != reference:
-                    report["divergences"].append(cell)
+        reference = _run_schedule_cell(config, 0, None)
+        for schedule in range(schedules):
+            workers = (schedule % 3) + 1
+            cell = f"{mode}/process/w{workers}/schedule{schedule}"
+            got = _run_schedule_cell(config, workers, adversary_seed=schedule)
+            report["runs"] += 1
+            report["cells"].append(cell)
+            if got != reference:
+                report["divergences"].append(cell)
     return report

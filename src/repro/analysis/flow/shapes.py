@@ -1361,8 +1361,8 @@ def scan_rg206(func: ast.AST, is_module: bool = False) -> list[ShapeIssue]:
     derived on demand (``repro.fl.population``); any ``range(n_clients)``
     loop/comprehension, eager ``.spawn(n_clients)`` RNG fan-out, or
     ``[...] * n_clients`` allocation elsewhere reintroduces O(n_clients)
-    time or memory per run. Legitimately-eager code (the ``population=
-    "eager"`` reference path, global partition schemes) carries audited
+    time or memory per run. Legitimately-eager code (the partition
+    schemes in ``repro.data.partition``) carries audited
     ``# repro: noqa[RG206]`` suppressions explaining why.
 
     Issues are reported at the line of the ``range``/``spawn`` expression

@@ -32,7 +32,7 @@ import argparse
 import pathlib
 import sys
 
-from .config import FederationConfig
+from .config import BACKEND_KINDS, FederationConfig
 from .experiments import (
     SCENARIO_FACTORIES,
     STRATEGY_FACTORIES,
@@ -78,9 +78,7 @@ def _add_config_args(parser: argparse.ArgumentParser) -> None:
                         help="enable the server-side decoder wire cache "
                              "(a client's θ_j crosses the channel once; later "
                              "uploads send an 8-byte reference)")
-    parser.add_argument("--backend", choices=["sequential", "process",
-                                              "process_legacy"],
-                        default=None,
+    parser.add_argument("--backend", choices=BACKEND_KINDS, default=None,
                         help="client execution backend (default: sequential; "
                              "'process' = worker-resident pool)")
     parser.add_argument("--workers", type=int, default=None,
@@ -90,10 +88,6 @@ def _add_config_args(parser: argparse.ArgumentParser) -> None:
                              "stacks all sampled clients into one leading-axis "
                              "pass — bit-identical histories, fewer Python "
                              "dispatches)")
-    parser.add_argument("--population", choices=["lazy", "eager"], default=None,
-                        help="client registry (default: lazy — clients derive "
-                             "on demand from index-keyed seeds, O(m) memory "
-                             "per round; 'eager' materializes all N up front)")
     parser.add_argument("--population-store", choices=["ram", "mmap"],
                         default=None,
                         help="lazy population: packed per-client state backing "
@@ -176,8 +170,6 @@ def _config_from_args(args) -> FederationConfig:
         overrides.setdefault("backend", "process")
     if getattr(args, "engine", None) is not None:
         overrides["engine"] = args.engine
-    if getattr(args, "population", None) is not None:
-        overrides["population"] = args.population
     if getattr(args, "population_store", None) is not None:
         overrides["population_store"] = args.population_store
     if getattr(args, "resident_cap", None) is not None:

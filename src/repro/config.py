@@ -15,7 +15,11 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, fields, replace
 
-__all__ = ["ModelConfig", "FederationConfig"]
+__all__ = ["ModelConfig", "FederationConfig", "BACKEND_KINDS"]
+
+# Client execution backends (repro.fl.parallel.make_backend): in-process,
+# or the worker-resident process pool.
+BACKEND_KINDS = ("sequential", "process")
 
 
 @dataclass(frozen=True)
@@ -100,10 +104,8 @@ class FederationConfig:
     partition_scheme: str = "dirichlet"  # "dirichlet" | "iid" | "pathological" | "virtual"
     virtual_samples_per_client: int = 0  # "virtual" scheme draw count (0 = pool/n)
 
-    # client registry (repro.fl.population; "lazy" derives clients on demand
-    # from index-keyed seeds — bit-identical to "eager", O(clients_per_round)
-    # memory instead of O(n_clients))
-    population: str = "lazy"            # "lazy" | "eager"
+    # client registry (repro.fl.population: clients derive on demand from
+    # index-keyed seeds, O(clients_per_round) memory instead of O(n_clients))
     population_store: str = "ram"       # packed-state backing: "ram" | "mmap"
     population_resident_cap: int = 0    # LRU cap on worker-resident clients (0 = unbounded)
 
@@ -122,7 +124,7 @@ class FederationConfig:
 
     # execution backend (repro.fl.parallel; a pure throughput knob — results
     # are identical across backends)
-    backend: str = "sequential"         # "sequential" | "process" | "process_legacy"
+    backend: str = "sequential"         # one of BACKEND_KINDS
     backend_workers: int = 0            # worker processes (0 = cpu count)
 
     # local-training engine (repro.fl.batched; "batched" stacks all sampled
@@ -186,11 +188,6 @@ class FederationConfig:
                 f"virtual_samples_per_client must be >= 0, "
                 f"got {self.virtual_samples_per_client}"
             )
-        if self.population not in ("lazy", "eager"):
-            raise ValueError(
-                f"unknown population {self.population!r}; "
-                f"expected one of ('lazy', 'eager')"
-            )
         if self.population_store not in ("ram", "mmap"):
             raise ValueError(
                 f"unknown population store {self.population_store!r}; "
@@ -201,10 +198,9 @@ class FederationConfig:
                 f"population_resident_cap must be >= 0, "
                 f"got {self.population_resident_cap}"
             )
-        if self.backend not in ("sequential", "process", "process_legacy"):
+        if self.backend not in BACKEND_KINDS:
             raise ValueError(
-                f"unknown backend {self.backend!r}; "
-                f"expected one of ('sequential', 'process', 'process_legacy')"
+                f"unknown backend {self.backend!r}; expected one of {BACKEND_KINDS}"
             )
         if self.backend_workers < 0:
             raise ValueError(

@@ -161,8 +161,8 @@ def virtual_partition(
     client ``cid`` is a pure function of the partition stream's seed and
     ``cid``. That independence is what lets the lazy population
     (:class:`~repro.fl.population.VirtualPartition`) serve any single
-    client without enumerating the rest; this eager form exists for small-n
-    equivalence tests and ``population="eager"`` runs.
+    client without enumerating the rest; this eager form is the reference
+    those per-client derivations are tested against at small n.
     """
     n_samples = len(labels)
     if samples_per_client <= 0:

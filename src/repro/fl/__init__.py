@@ -19,7 +19,6 @@ from .modes import (
 from .parallel import (
     ExecutionBackend,
     IPCStats,
-    LegacyProcessPoolBackend,
     ProcessPoolBackend,
     SequentialBackend,
     make_backend,
@@ -87,7 +86,6 @@ __all__ = [
     "ExecutionBackend",
     "SequentialBackend",
     "ProcessPoolBackend",
-    "LegacyProcessPoolBackend",
     "IPCStats",
     "make_backend",
     "ClientSampler",

@@ -1,28 +1,21 @@
 """Client execution backends: sequential and process-parallel.
 
 The paper's testbed trains 100 clients across GPU nodes in parallel; this
-module provides the equivalent for the simulation. Two parallel designs
-coexist:
-
-* :class:`ProcessPoolBackend` — the **worker-resident** design. Each
-  persistent worker process receives its clients' construction recipes
-  (:class:`~repro.fl.client.ClientRecipe`: partition indices + config +
-  RNG state + attack spec) exactly once, rebuilds them locally, and keeps
-  them alive for the whole federation. Thereafter a round ships only
-  ``(round_idx, include_decoder, client_ids)`` plus the global weight
-  vector — published once per round through
-  :mod:`multiprocessing.shared_memory` instead of pickled per client —
-  and receives back only the update vector, scalars, and (first time per
-  :attr:`~repro.fl.updates.ClientUpdate.decoder_version`) the CVAE
-  decoder. Client→worker placement is **sticky** (``client_id mod
-  workers``), so trained CVAEs, streamed datasets, and RNG streams never
-  cross a process boundary again.
-* :class:`LegacyProcessPoolBackend` — the seed's design, kept as the
-  benchmark baseline (``benchmarks/bench_backend_scaling.py``): it
-  re-pickles each sampled client's *entire* state (private dataset, model
-  shell, trained CVAE, attack object) to a worker every round and ships
-  the dataset back even when it never changed, so it "only wins with long
-  local training".
+module provides the equivalent for the simulation.
+:class:`ProcessPoolBackend` is a **worker-resident** pool. Each
+persistent worker process receives its clients' construction recipes
+(:class:`~repro.fl.client.ClientRecipe`: partition indices + config + RNG
+state + attack spec) exactly once, rebuilds them locally, and keeps them
+alive for the whole federation. Thereafter a round ships only
+``(round_idx, include_decoder, client_ids)`` plus the global weight
+vector — published once per round through
+:mod:`multiprocessing.shared_memory` instead of pickled per client — and
+receives back only the update vector, scalars, and (first time per
+:attr:`~repro.fl.updates.ClientUpdate.decoder_version`) the CVAE decoder.
+Client→worker placement is **sticky** (``client_id mod workers``), so
+trained CVAEs, streamed datasets, and RNG streams never cross a process
+boundary again — as on the paper's testbed, where each client's data and
+CVAE stay on its own node.
 
 Notes for users:
 
@@ -32,9 +25,9 @@ Notes for users:
   state is *built at runtime from another colluder's update* (only
   ``DirectedDeviationAttack``, marked ``runtime_collusion = True``) lose
   cross-client sharing under process isolation — every colluder would
-  deviate along its own direction instead of the first colluder's. Both
-  pool backends refuse such batches with a ``RuntimeError`` instead of
-  silently mis-simulating the attack. Seed-derived collusion
+  deviate along its own direction instead of the first colluder's. The
+  pool refuses such batches with a ``RuntimeError`` instead of silently
+  mis-simulating the attack. Seed-derived collusion
   (``AdditiveNoiseAttack``, ``DecoderPoisoningAttack``) is unaffected.
   Run order-dependent colluding attacks on the sequential backend.
 * With the resident backend the *authoritative* client state (dataset,
@@ -55,17 +48,15 @@ from __future__ import annotations
 import multiprocessing
 import os
 import pickle
-import time
 import traceback
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from multiprocessing import shared_memory
 
 import numpy as np
 
-from ..analysis.contracts import loop_fallback, schedule_adversary
+from ..analysis.contracts import schedule_adversary
+from ..config import BACKEND_KINDS, FederationConfig
 from .batched import TrainingEngine, make_engine
 from .client import FLClient
 from .transport import BroadcastMessage, SubmitMessage
@@ -75,7 +66,6 @@ __all__ = [
     "ExecutionBackend",
     "SequentialBackend",
     "ProcessPoolBackend",
-    "LegacyProcessPoolBackend",
     "IPCStats",
     "make_backend",
     "BACKEND_KINDS",
@@ -123,7 +113,7 @@ def _reject_runtime_collusion(clients: list[FLClient]) -> None:
     )
     if any(count >= 2 for count in shared.values()):
         raise RuntimeError(
-            "process-pool backends cannot simulate runtime-colluding attacks "
+            "the process-pool backend cannot simulate runtime-colluding attacks "
             "(e.g. DirectedDeviationAttack): worker processes mutate "
             "isolated attack copies, so colluders would no longer share "
             "the first colluder's direction. Run this scenario on "
@@ -178,9 +168,8 @@ class ExecutionBackend:
         """Authoritative per-client checkpoint state held by this backend.
 
         Returns ``None`` when the main-process ``FLClient`` objects *are*
-        the authoritative state (sequential and legacy backends — the
-        latter writes worker state back every round). The resident pool
-        overrides this to harvest state from its workers.
+        the authoritative state (the sequential backend). The resident
+        pool overrides this to harvest state from its workers.
         """
         return None
 
@@ -764,168 +753,15 @@ class ProcessPoolBackend(ExecutionBackend):
         self.close()
 
 
-# ---------------------------------------------------------------------------
-# Legacy full-state-shipping pool (benchmark baseline)
-# ---------------------------------------------------------------------------
-
-def _fit_worker(payload):
-    """Worker-side: run one client fit and return its mutated CVAE state.
-
-    Runs in a separate process; everything in and out goes through pickle.
-    """
-    client, global_weights, include_decoder, round_idx = payload
-    t0 = time.perf_counter()
-    update = client.fit(global_weights, include_decoder, round_idx)
-    elapsed = time.perf_counter() - t0
-    decoder_cache = client._decoder_vector if include_decoder else None
-    return (update, elapsed, decoder_cache, client._decoder_version,
-            client.rng.bit_generator.state, client.dataset, client.stream)
-
-
-class LegacyProcessPoolBackend(ExecutionBackend):
-    """The seed's pool: re-ships full client state every round.
-
-    Kept as the measured baseline for the resident design
-    (``benchmarks/bench_backend_scaling.py``); prefer
-    :class:`ProcessPoolBackend` for real runs.
-
-    Parameters
-    ----------
-    max_workers:
-        Worker process count; ``None`` lets the executor pick (cpu count).
-    measure_ipc:
-        When True, every payload and result is additionally pickled to
-        count its bytes into :attr:`ipc_stats` — honest accounting for the
-        benchmark, but it doubles serialization work, so it is off by
-        default.
-    """
-
-    def __init__(self, max_workers: int | None = None,
-                 measure_ipc: bool = False) -> None:
-        super().__init__()
-        self.max_workers = max_workers
-        self.measure_ipc = measure_ipc
-        self._pool: ProcessPoolExecutor | None = None
-        # Broken pools replaced so far (fault injection / crash recovery).
-        self.respawns = 0
-
-    def _ensure_pool(self) -> ProcessPoolExecutor:
-        if self._pool is None:
-            self._pool = ProcessPoolExecutor(max_workers=self.max_workers)
-        return self._pool
-
-    def inject_worker_crash(self, worker_idx: int) -> bool:
-        """Kill one executor worker (fault injection). Returns True if killed.
-
-        The executor marks itself broken on the next batch; ``fit_clients``
-        recovers by rebuilding the pool and replaying the round. Workers
-        spawn lazily, so an idle pool is primed with a no-op first.
-        """
-        pool = self._ensure_pool()
-        procs = list(getattr(pool, "_processes", {}).values())
-        if not procs:
-            pool.submit(int).result()
-            procs = list(getattr(pool, "_processes", {}).values())
-        if not procs:  # pragma: no cover - defensive
-            return False
-        victim = procs[worker_idx % len(procs)]
-        victim.kill()
-        victim.join()
-        return True
-
-    @loop_fallback
-    def fit_clients(self, clients, global_weights, include_decoder, round_idx=0):
-        # Intentionally per-client: this backend *is* the measured
-        # ship-everything baseline, so it never batches.
-        _reject_runtime_collusion(clients)
-        pool = self._ensure_pool()
-        payloads = [(c, global_weights, include_decoder, round_idx) for c in clients]
-        if self.measure_ipc:
-            for payload in payloads:
-                self.ipc_stats.bytes_sent += len(
-                    pickle.dumps(payload, protocol=_PICKLE_PROTOCOL)
-                )
-        # Submission interleaving is free: each payload ships a complete,
-        # independent client, and the results are un-permuted into client
-        # order below — so the schedule sanitizer may scramble which
-        # worker trains which client, in what order, without moving a bit.
-        adversary = schedule_adversary()
-        order = (
-            adversary.permutation(len(payloads))
-            if adversary is not None else None
-        )
-        submitted = (
-            [payloads[i] for i in order] if order is not None else payloads
-        )
-        # Materialize every result before any write-back: if the pool died
-        # mid-batch, the whole round is replayed on a fresh pool from the
-        # clients' untouched pre-round state — no double RNG advancement.
-        try:
-            results = list(pool.map(_fit_worker, submitted))
-        except BrokenProcessPool:
-            self.close()
-            self.respawns += 1
-            pool = self._ensure_pool()
-            results = list(pool.map(_fit_worker, submitted))
-        if order is not None:
-            restored: list = [None] * len(results)
-            for slot, i in enumerate(order):
-                restored[i] = results[slot]
-            results = restored
-        updates, times = [], []
-        for client, result in zip(clients, results):
-            if self.measure_ipc:
-                self.ipc_stats.bytes_received += len(
-                    pickle.dumps(result, protocol=_PICKLE_PROTOCOL)
-                )
-            (update, elapsed, decoder_cache, decoder_version,
-             rng_state, dataset, stream) = result
-            updates.append(update)
-            times.append(elapsed)
-            # Write back the worker-side state so the main-process client
-            # keeps its trained CVAE (train-once contract), its streamed
-            # dataset, and an RNG stream in sync with sequential execution.
-            if decoder_cache is not None:
-                client._decoder_vector = decoder_cache
-                client._decoder_version = decoder_version
-            client.dataset = dataset
-            client.stream = stream
-            client.rng.bit_generator.state = rng_state
-        self.ipc_stats.rounds += 1
-        return updates, times
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-
-    def __enter__(self) -> "LegacyProcessPoolBackend":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-
-BACKEND_KINDS = ("sequential", "process", "process_legacy")
-
-
-def make_backend(config) -> ExecutionBackend:
+def make_backend(config: FederationConfig) -> ExecutionBackend:
     """Build the backend a :class:`~repro.config.FederationConfig` asks for."""
-    kind = config.backend
-    workers = config.backend_workers or None
-    engine = getattr(config, "engine", "loop")
-    if kind == "sequential":
-        return SequentialBackend(engine=engine)
-    if kind == "process":
+    if config.backend == "sequential":
+        return SequentialBackend(engine=config.engine)
+    if config.backend == "process":
         return ProcessPoolBackend(
-            max_workers=workers, engine=engine,
-            resident_cap=getattr(config, "population_resident_cap", 0),
+            max_workers=config.backend_workers or None, engine=config.engine,
+            resident_cap=config.population_resident_cap,
         )
-    if kind == "process_legacy":
-        if engine != "loop":
-            raise ValueError(
-                "the legacy backend is the per-client baseline and only "
-                "supports engine='loop'"
-            )
-        return LegacyProcessPoolBackend(max_workers=workers)
-    raise ValueError(f"unknown backend kind {kind!r}; known: {BACKEND_KINDS}")
+    raise ValueError(
+        f"unknown backend kind {config.backend!r}; known: {BACKEND_KINDS}"
+    )

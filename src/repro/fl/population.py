@@ -1,12 +1,11 @@
 """Lazy, array-backed virtual client populations.
 
-The paper's evaluation stops at N=100 because ``build_federation`` used to
-*eagerly* build one live :class:`~repro.fl.client.FLClient` per client —
-O(n_clients) objects, RNG spawns, partition subsets, and stream objects up
-front. Production cross-device FL assumes the opposite regime: millions of
-registered devices of which a few hundred participate per round. This
-module makes that regime a config choice instead of an architectural
-ceiling:
+The paper's evaluation stops at N=100, where one live
+:class:`~repro.fl.client.FLClient` per client is affordable. Production
+cross-device FL assumes the opposite regime: millions of registered
+devices of which a few hundred participate per round. ``build_federation``
+therefore never enumerates the population — no O(n_clients) objects, RNG
+spawns, partition subsets, or stream objects up front:
 
 * :class:`VirtualClientPopulation` — clients exist as *recipes*, not
   objects. A client materializes only when sampled (or explicitly peeked
@@ -14,7 +13,7 @@ ceiling:
   bit-identically is derived on demand from its index:
 
   - its private RNG comes from an index-derived :class:`numpy.random.
-    SeedSequence` spawn key, bit-identical to the eager path's
+    SeedSequence` spawn key, bit-identical to
     ``clients_rng.spawn(n)[cid]`` (a spawned child is a pure function of
     the parent's ``(entropy, spawn_key, pool_size)`` plus the child
     index — no O(n) spawn list needed);
@@ -34,19 +33,19 @@ ceiling:
   row; decoder vectors and (opt-in) stream objects live in side tables
   keyed by id, O(touched) not O(n).
 
-* :class:`EagerPopulation` — the compatibility adapter wrapping a live
-  client list. Hand-built servers (``Server(clients=[...])``) and
-  ``population="eager"`` runs go through it; the server only ever talks to
-  the :class:`ClientPopulation` interface.
+* :class:`EagerPopulation` — the adapter wrapping a live client list.
+  Hand-built servers (``Server(clients=[...])``) go through it; the server
+  only ever talks to the :class:`ClientPopulation` interface.
 
 Bit-equality contract: materializing client ``cid`` replays
-``FLClient.__init__`` exactly as the eager path ran it (same RNG state,
-same data-poisoning draws, same shell-init draws), then overlays the
-packed mutable state captured at its last check-in — the same
-construct-then-``load_state_dict`` sequence the checkpoint/resume path
-already proves bit-identical. The property suite in
-``tests/property/test_population_properties.py`` asserts this against the
-eager path for every scheme.
+``FLClient.__init__`` exactly as a one-object-per-client construction
+would (RNG ``clients_rng.spawn(n)[cid]``, the same data-poisoning draws,
+the same shell-init draws), then overlays the packed mutable state
+captured at its last check-in — the same construct-then-``load_state_dict``
+sequence the checkpoint/resume path already proves bit-identical. The
+property suite in ``tests/property/test_population_properties.py``
+asserts this against that construction, built in the test, for every
+scheme.
 """
 
 from __future__ import annotations
@@ -69,11 +68,9 @@ __all__ = [
     "ClientPopulation",
     "EagerPopulation",
     "VirtualClientPopulation",
-    "POPULATION_KINDS",
     "POPULATION_STORES",
 ]
 
-POPULATION_KINDS = ("eager", "lazy")
 POPULATION_STORES = ("ram", "mmap")
 
 
@@ -367,7 +364,7 @@ class ClientPopulation:
 
 
 class EagerPopulation(ClientPopulation):
-    """Adapter over a live client list (hand-built servers, eager runs)."""
+    """Adapter over a live client list (hand-built ``Server(clients=...)``)."""
 
     def __init__(self, clients: list[FLClient]) -> None:
         self._clients = list(clients)
@@ -444,7 +441,7 @@ class VirtualClientPopulation(ClientPopulation):
         Iterable of malicious client ids (packed to a sorted array).
     attack:
         The scenario's shared attack object — one instance for every
-        malicious client, exactly as the eager path installs it.
+        malicious client, exactly as a hand-built client list shares it.
     client_parent:
         Captured ``clients_rng`` stream; child ``cid`` is bit-identical
         to ``clients_rng.spawn(n)[cid]``.
@@ -495,10 +492,10 @@ class VirtualClientPopulation(ClientPopulation):
     def materialize(self, cid: int) -> FLClient:
         """Rebuild client ``cid``: construction replay + packed-state overlay.
 
-        Construction is bit-identical to the eager path (index-derived RNG,
-        shared attack object, partition slice); if the client has
-        participated before, its packed mutable state is loaded on top —
-        the same sequence checkpoint restore uses.
+        Construction is bit-identical to building every client up front
+        (index-derived RNG, shared attack object, partition slice); if the
+        client has participated before, its packed mutable state is loaded
+        on top — the same sequence checkpoint restore uses.
         """
         rng = self._client_parent.generator(cid)
         stream = None

@@ -22,7 +22,12 @@ from ..attacks.scenario import AttackScenario, no_attack
 from ..config import FederationConfig
 from ..data import SynthMnistConfig, generate_dataset, partition_indices
 from ..models import build_classifier, build_decoder
-from .client import FLClient
+from .population import (
+    CSRPartition,
+    SeedParent,
+    VirtualClientPopulation,
+    VirtualPartition,
+)
 from .server import Server
 from .strategy import ServerContext, Strategy
 
@@ -36,10 +41,10 @@ __all__ = [
 
 # Checkpoint payload schema version (see ``federation_state``); bumped on
 # any incompatible change so ``restore_federation`` can refuse clearly.
-# v2 added the server-mode state (the async event queue / buffer); v1
-# payloads predate server modes and still restore — into a fresh mode.
-CHECKPOINT_VERSION = 2
-_READABLE_CHECKPOINT_VERSIONS = (1, CHECKPOINT_VERSION)
+# v2 added the server-mode state (the async event queue / buffer); v3
+# dropped the ``population`` key from the stored config. Only the current
+# version restores.
+CHECKPOINT_VERSION = 3
 
 # Auxiliary-dataset size granted to defenses that assume public data
 # (Spectral). Kept small relative to the training set — the paper's
@@ -135,91 +140,43 @@ def build_federation(
     n_aux = max(int(config.train_samples * AUX_FRACTION), 32)
     auxiliary = generate_dataset(n_aux, data_rng, synth_cfg) if strategy.needs_auxiliary else None
 
-    lazy = config.population == "lazy"
-    if lazy:
-        # The tentpole path: no per-client objects, spawns, or subsets are
-        # built here. Clients materialize on sampling from index-derived
-        # seeds, bit-identical to the eager construction below.
-        from .population import (
-            CSRPartition,
-            SeedParent,
-            VirtualClientPopulation,
-            VirtualPartition,
-        )
-
-        if config.partition_scheme == "virtual":
-            partition = VirtualPartition(
-                n_samples=len(train),
-                n_clients=config.n_clients,
-                samples_per_client=(
-                    config.virtual_samples_per_client
-                    or max(len(train) // config.n_clients, 1)
-                ),
-                parent=SeedParent.capture(partition_rng),
-            )
-        else:
-            # Global schemes (Dirichlet/IID/pathological) are inherently
-            # O(n) to *derive*; the CSR pair is built once and per-client
-            # membership stays a zero-copy slice thereafter.
-            partition = CSRPartition(partition_indices(
-                train.labels,
-                config.n_clients,
-                partition_rng,
-                scheme=config.partition_scheme,
-                alpha=config.partition_alpha,
-            ))
-        population = VirtualClientPopulation(
-            config=config,
-            train_pool=train,
-            partition=partition,
-            malicious_ids=scenario.malicious_ids(config.n_clients, malicious_rng),
-            attack=scenario.attack,
-            client_parent=SeedParent.capture(clients_rng),
-            stream_parent=(
-                SeedParent.capture(data_rng)
-                if config.stream_samples_per_round > 0 else None
+    # No per-client objects, spawns, or subsets are built here: clients
+    # materialize on sampling from index-derived seeds.
+    if config.partition_scheme == "virtual":
+        partition = VirtualPartition(
+            n_samples=len(train),
+            n_clients=config.n_clients,
+            samples_per_client=(
+                config.virtual_samples_per_client
+                or max(len(train) // config.n_clients, 1)
             ),
-            synth_cfg=synth_cfg,
-            store=config.population_store,
+            parent=SeedParent.capture(partition_rng),
         )
-        clients = None
     else:
-        population = None
-        part_indices = partition_indices(
+        # Global schemes (Dirichlet/IID/pathological) are inherently
+        # O(n) to *derive*; the CSR pair is built once and per-client
+        # membership stays a zero-copy slice thereafter.
+        partition = CSRPartition(partition_indices(
             train.labels,
             config.n_clients,
             partition_rng,
             scheme=config.partition_scheme,
             alpha=config.partition_alpha,
-            samples_per_client=config.virtual_samples_per_client,
-        )
-        partitions = [train.subset(p) for p in part_indices]
-
-        malicious_ids = scenario.malicious_ids(config.n_clients, malicious_rng)
-        client_rngs = clients_rng.spawn(config.n_clients)  # repro: noqa[RG206] — the eager path's contract
-
-        streams: list = [None] * config.n_clients  # repro: noqa[RG206] — the eager path's contract
-        if config.stream_samples_per_round > 0:
-            from ..data.stream import SynthMnistStream
-
-            stream_rngs = data_rng.spawn(config.n_clients)  # repro: noqa[RG206] — the eager path's contract
-            streams = [
-                SynthMnistStream(stream_rngs[cid], synth_cfg)
-                for cid in range(config.n_clients)  # repro: noqa[RG206] — the eager path's contract
-            ]
-
-        clients = [
-            FLClient(
-                client_id=cid,
-                dataset=partitions[cid],
-                config=config,
-                rng=client_rngs[cid],
-                attack=scenario.attack if cid in malicious_ids else None,
-                stream=streams[cid],
-                partition_indices=part_indices[cid],
-            )
-            for cid in range(config.n_clients)  # repro: noqa[RG206] — the eager path's contract
-        ]
+        ))
+    population = VirtualClientPopulation(
+        config=config,
+        train_pool=train,
+        partition=partition,
+        malicious_ids=scenario.malicious_ids(config.n_clients, malicious_rng),
+        attack=scenario.attack,
+        client_parent=SeedParent.capture(clients_rng),
+        stream_parent=(
+            SeedParent.capture(data_rng)
+            if config.stream_samples_per_round > 0 else None
+        ),
+        synth_cfg=synth_cfg,
+        store=config.population_store,
+    )
 
     # Snapshot the classifier stream first: its replayed state matches the
     # seed discipline's first factory call (the server's eval shell, i.e.
@@ -258,7 +215,6 @@ def build_federation(
         backend = make_backend(config)
 
     return Server(
-        clients=clients,
         population=population,
         strategy=strategy,
         config=config,
@@ -282,8 +238,8 @@ def federation_state(server: Server, history) -> dict:
     The payload pickles the *objects* that carry evolving state (strategy,
     scenario, sampler, channel, history) plus explicit state dicts for the
     server's RNGs, the global model, and every client the population says
-    needs one (eager: all; lazy: only clients that ever participated —
-    untouched clients restore bit-identically from construction replay).
+    needs one (only clients that ever participated — untouched clients
+    restore bit-identically from construction replay).
     Client state is harvested from the execution backend when it is
     authoritative (the worker-resident pool); otherwise the population is
     read directly. The execution backend itself is never pickled — it holds live
@@ -316,7 +272,7 @@ def federation_state(server: Server, history) -> dict:
         "setup_done": server._setup_done,
         "clients": client_states,
         "history": history,
-        # v2: evolving round-mode state. For the sync mode this is empty;
+        # Evolving round-mode state. For the sync mode this is empty;
         # for the async mode it carries the event heap, the arrival
         # buffer, and the in-flight client set — work dispatched before
         # the checkpoint that must land after the resume, bit-identically.
@@ -340,10 +296,10 @@ def restore_federation(state: dict, backend=None, sampler=None, channel=None):
     """
     if state.get("format") != "repro-federation-checkpoint":
         raise ValueError("not a federation checkpoint payload")
-    if state.get("version") not in _READABLE_CHECKPOINT_VERSIONS:
+    if state.get("version") != CHECKPOINT_VERSION:
         raise ValueError(
             f"unsupported checkpoint version {state.get('version')!r}; "
-            f"this build reads versions {_READABLE_CHECKPOINT_VERSIONS}"
+            f"this build reads version {CHECKPOINT_VERSION}"
         )
     history = state["history"]
     last_round = history.rounds[-1].round_idx if history.rounds else 0
@@ -366,11 +322,7 @@ def restore_federation(state: dict, backend=None, sampler=None, channel=None):
     server.rng.bit_generator.state = state["server_rng"]
     server.context.rng.bit_generator.state = state["context_rng"]
     server._setup_done = state["setup_done"]
-    if "mode" in state:
-        # v1 payloads predate round modes: the freshly built mode (from
-        # the config, which also predates modes and is therefore sync)
-        # is already correct, so only v2 state is replayed.
-        server.mode.load_state_dict(state["mode"])
+    server.mode.load_state_dict(state["mode"])
     for client_id, client_state in state["clients"].items():
         server.population.import_state(client_id, client_state)
     return server, history

@@ -234,9 +234,9 @@ class TestRealTreeShapeDiscipline:
         src = REPO_ROOT / "src" / "repro"
         findings = analyze_paths([src], rules=SHAPE_RULES)
         sources = {str(p): p.read_text() for p in sorted(src.rglob("*.py"))}
-        # RG206's legitimately-eager sites (the population="eager"
-        # reference path, global partition schemes) carry audited
-        # noqa[RG206] suppressions; stale ones surface as RG100.
+        # RG206's legitimately-eager sites (the partition schemes in
+        # repro.data.partition) carry audited noqa[RG206] suppressions;
+        # stale ones surface as RG100.
         # Every other rule must be raw-clean.
         assert all(f.rule == "RG206" for f in findings)
         assert reporting.apply_suppressions(

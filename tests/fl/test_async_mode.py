@@ -318,7 +318,7 @@ class TestCheckpointCompat:
         assert len(restored["events"]) == len(state["events"])
         assert len(restored["buffer"]) == len(state["buffer"])
 
-    def test_v1_checkpoint_restores_without_mode_state(self):
+    def test_v1_checkpoint_without_mode_state_refused(self):
         config = FederationConfig.tiny(rounds=1)
         server = build_federation(
             config, make_strategy("fedavg"), make_scenario("no_attack"),
@@ -327,8 +327,10 @@ class TestCheckpointCompat:
         state = federation_state(server, history)
         state["version"] = 1
         state.pop("mode")  # v1 payloads predate the mode field entirely
-        restored, _ = restore_federation(state)
-        assert isinstance(restored.mode, SyncRoundMode)
+        # The version check runs before any field is read, so the missing
+        # mode state surfaces as a refusal rather than a KeyError.
+        with pytest.raises(ValueError, match="unsupported checkpoint version 1"):
+            restore_federation(state)
 
     def test_unreadable_version_rejected(self):
         config = FederationConfig.tiny(rounds=1)
@@ -337,6 +339,9 @@ class TestCheckpointCompat:
         )
         history = server.run()
         state = federation_state(server, history)
-        state["version"] = 99
-        with pytest.raises(ValueError, match="version"):
-            restore_federation(state)
+        # v1 predates the mode state and v2 still stores the
+        # ``population`` config key; only the current version restores.
+        for version in (1, 2, 99):
+            state["version"] = version
+            with pytest.raises(ValueError, match="unsupported checkpoint version"):
+                restore_federation(state)

@@ -163,14 +163,6 @@ class TestLoopEquivalence:
         )
         assert normalized(loop) == normalized(pooled)
 
-    def test_legacy_backend_rejects_batched_engine(self):
-        with pytest.raises(ValueError, match="legacy backend"):
-            run_cell(
-                FederationConfig.tiny(engine="batched", backend="process_legacy"),
-                "fedavg",
-                "no_attack",
-            )
-
     @pytest.mark.slow
     @pytest.mark.parametrize("strategy", sorted(STRATEGY_FACTORIES))
     def test_all_strategies_batched_match_loop(self, strategy):

@@ -10,7 +10,6 @@ from repro.experiments.storage import load_checkpoint, save_checkpoint
 from repro.fl import (
     FaultPlan,
     FaultyChannel,
-    LegacyProcessPoolBackend,
     LinkFault,
     ProcessPoolBackend,
     RoundContext,
@@ -197,18 +196,6 @@ class TestInjectWorkerCrashes:
         plan = FaultPlan().crash_worker(0, round_idx=2)
         config = FederationConfig.tiny(rounds=3)
         with ProcessPoolBackend(max_workers=2) as backend:
-            server = build_federation(
-                config, FedAvg(), no_attack(), backend=backend,
-                channel=FaultyChannel(InMemoryChannel(), plan),
-            )
-            history = server.run()
-            assert len(history.rounds) == 3
-            assert backend.respawns == 1
-
-    def test_legacy_pool_federation_survives_scheduled_crash(self):
-        plan = FaultPlan().crash_worker(0, round_idx=2)
-        config = FederationConfig.tiny(rounds=3)
-        with LegacyProcessPoolBackend(max_workers=2) as backend:
             server = build_federation(
                 config, FedAvg(), no_attack(), backend=backend,
                 channel=FaultyChannel(InMemoryChannel(), plan),

@@ -8,7 +8,7 @@ import pytest
 from repro.attacks import AttackScenario, no_attack
 from repro.config import FederationConfig
 from repro.defenses import FedAvg, FedGuard
-from repro.fl import LegacyProcessPoolBackend, ProcessPoolBackend, SequentialBackend
+from repro.fl import ProcessPoolBackend, SequentialBackend
 from repro.fl.simulation import build_federation
 
 
@@ -54,6 +54,8 @@ class TestProcessPoolBackend:
                 c for c in server.clients if c._decoder_vector is not None
             ]
             assert len(sampled_with_decoder) >= config.clients_per_round
+            # Versions come back too — the wire decoder cache keys on them.
+            assert all(c._decoder_version == 1 for c in sampled_with_decoder)
 
     def test_close_is_idempotent(self):
         backend = ProcessPoolBackend(max_workers=1)
@@ -70,36 +72,6 @@ class TestProcessPoolBackend:
             server.run_round(2)  # lazily restarts the pool and reinstalls
         finally:
             backend.close()
-
-
-class TestLegacyProcessPoolBackend:
-    def test_equivalent_to_sequential(self):
-        config = FederationConfig.tiny()
-        seq_history = build_federation(config, FedAvg(), no_attack()).run()
-        with LegacyProcessPoolBackend(max_workers=2) as backend:
-            leg_history = build_federation(
-                config, FedAvg(), no_attack(), backend=backend
-            ).run()
-        np.testing.assert_array_equal(seq_history.accuracies, leg_history.accuracies)
-
-    def test_decoder_cache_written_back(self):
-        config = FederationConfig.tiny()
-        with LegacyProcessPoolBackend(max_workers=2) as backend:
-            server = build_federation(
-                config, FedGuard(), AttackScenario.same_value(0.5), backend=backend
-            )
-            server.run_round(1)
-            with_decoder = [
-                c for c in server.clients if c._decoder_vector is not None
-            ]
-            assert len(with_decoder) >= config.clients_per_round
-            # Versions come back too — the wire decoder cache keys on them.
-            assert all(c._decoder_version == 1 for c in with_decoder)
-
-    def test_close_is_idempotent(self):
-        backend = LegacyProcessPoolBackend(max_workers=1)
-        backend.close()
-        backend.close()
 
 
 class TestSharedMemoryLifecycle:

@@ -207,23 +207,33 @@ class TestVirtualClientPopulation:
         assert restored.rng.bit_generator.state == client.rng.bit_generator.state
 
     def test_malicious_flags_match_eager(self):
+        # The designation a one-object-per-client build would install:
+        # the scenario's draw from the third root stream.
         config = FederationConfig.tiny()
         scenario = SCENARIO_FACTORIES["label_flipping_30"]()
         lazy = build_federation(
             config, STRATEGY_FACTORIES["fedavg"](), scenario
         )
-        eager = build_federation(
-            config.replace(population="eager"),
-            STRATEGY_FACTORIES["fedavg"](),
-            SCENARIO_FACTORIES["label_flipping_30"](),
-        )
-        for lc, ec in zip(lazy.clients, eager.clients):
-            assert lc.is_malicious == ec.is_malicious
+        malicious_rng = np.random.default_rng(config.seed).spawn(7)[2]
+        malicious_ids = scenario.malicious_ids(config.n_clients, malicious_rng)
+        assert 0 < len(malicious_ids) < config.n_clients
+        for client in lazy.clients:
+            assert client.is_malicious == (client.client_id in malicious_ids)
 
 
 class TestEagerPopulation:
     def test_wraps_live_list(self):
-        server = lazy_server(population="eager")
+        from repro.fl.server import Server
+
+        built = lazy_server()
+        server = Server(
+            clients=list(built.clients),
+            strategy=STRATEGY_FACTORIES["fedavg"](),
+            config=built.config,
+            test_dataset=built.test_dataset,
+            context=built.context,
+            rng=np.random.default_rng(0),
+        )
         pop = server.population
         assert isinstance(pop, EagerPopulation)
         [a] = pop.checkout([2])

@@ -1,11 +1,11 @@
 """Property-based tests: lazy populations are bit-identical to eager ones.
 
-The lazy `VirtualClientPopulation` claims exact equivalence with the eager
-client list it replaced: same per-client RNG streams, same partition
+The lazy `VirtualClientPopulation` claims exact equivalence with building
+every client up front: same per-client RNG streams, same partition
 membership, same attack designation, same stream draws — for any seed,
-any scheme, any population size. These properties pin that contract, plus
-the packed-state round-trip that checkpoint/resume and worker eviction
-both lean on.
+any scheme, any population size. These properties pin that contract
+against a test-only eager oracle, plus the packed-state round-trip that
+checkpoint/resume and worker eviction both lean on.
 """
 
 import numpy as np
@@ -13,12 +13,62 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import FederationConfig
+from repro.data import SynthMnistConfig, generate_dataset, partition_indices
+from repro.data.stream import SynthMnistStream
 from repro.experiments import SCENARIO_FACTORIES, STRATEGY_FACTORIES
+from repro.fl.client import FLClient
 from repro.fl.simulation import build_federation, federation_state, restore_federation
 
 
+def build_eager_clients(config, scenario):
+    """Test-only oracle: one live client per id, all built up front.
+
+    Replays ``build_federation``'s seeding discipline by hand — the root
+    stream spawned into the same seven children in the same order, the
+    partition derived over the whole pool, ``clients_rng.spawn(n)[cid]``
+    for training and ``data_rng.spawn(n)[cid]`` for streams — so the lazy
+    population is checked against the spawns themselves rather than
+    against its own index arithmetic.
+    """
+    data_rng, partition_rng, malicious_rng, clients_rng, *_ = (
+        np.random.default_rng(config.seed).spawn(7)
+    )
+    synth_cfg = SynthMnistConfig(image_size=config.model.image_size)
+    train = generate_dataset(config.train_samples, data_rng, synth_cfg)
+    parts = partition_indices(
+        train.labels,
+        config.n_clients,
+        partition_rng,
+        scheme=config.partition_scheme,
+        alpha=config.partition_alpha,
+        samples_per_client=config.virtual_samples_per_client,
+    )
+    malicious_ids = scenario.malicious_ids(config.n_clients, malicious_rng)
+    client_rngs = clients_rng.spawn(config.n_clients)
+    # Dataset generation draws from data_rng but never spawns from it, so
+    # the stream children do not depend on the splits generated before.
+    streams = [None] * config.n_clients
+    if config.stream_samples_per_round > 0:
+        streams = [
+            SynthMnistStream(rng, synth_cfg)
+            for rng in data_rng.spawn(config.n_clients)
+        ]
+    return [
+        FLClient(
+            client_id=cid,
+            dataset=train.subset(parts[cid]),
+            config=config,
+            rng=client_rngs[cid],
+            attack=scenario.attack if cid in malicious_ids else None,
+            stream=streams[cid],
+            partition_indices=parts[cid],
+        )
+        for cid in range(config.n_clients)
+    ]
+
+
 def build_pair(seed, n_clients, scheme, scenario_name, streaming=False):
-    """(lazy_server, eager_server) for one configuration."""
+    """(lazy_server, eager_clients) for one configuration."""
     overrides = dict(
         seed=seed,
         n_clients=n_clients,
@@ -31,17 +81,13 @@ def build_pair(seed, n_clients, scheme, scenario_name, streaming=False):
         overrides["train_samples"] = 2 * n_clients * 10
     if streaming:
         overrides["stream_samples_per_round"] = 2
-    servers = []
-    for population in ("lazy", "eager"):
-        config = FederationConfig.tiny(**overrides, population=population)
-        servers.append(
-            build_federation(
-                config,
-                STRATEGY_FACTORIES["fedavg"](),
-                SCENARIO_FACTORIES[scenario_name](),
-            )
-        )
-    return servers
+    config = FederationConfig.tiny(**overrides)
+    lazy = build_federation(
+        config,
+        STRATEGY_FACTORIES["fedavg"](),
+        SCENARIO_FACTORIES[scenario_name](),
+    )
+    return lazy, build_eager_clients(config, SCENARIO_FACTORIES[scenario_name]())
 
 
 def assert_clients_identical(lazy_client, eager_client, check_stream=False):
@@ -77,8 +123,7 @@ class TestLazyEagerEquivalence:
     def test_every_client_constructs_identically(
         self, seed, n_clients, scheme, scenario
     ):
-        lazy, eager = build_pair(seed, n_clients, scheme, scenario)
-        eager_clients = list(eager.clients)
+        lazy, eager_clients = build_pair(seed, n_clients, scheme, scenario)
         for cid in range(n_clients):
             assert_clients_identical(
                 lazy.population.materialize(cid), eager_clients[cid]
@@ -87,8 +132,9 @@ class TestLazyEagerEquivalence:
     @given(seed=st.integers(0, 2**31 - 1))
     @settings(max_examples=5, deadline=None)
     def test_streaming_clients_draw_identically(self, seed):
-        lazy, eager = build_pair(seed, 8, "iid", "no_attack", streaming=True)
-        eager_clients = list(eager.clients)
+        lazy, eager_clients = build_pair(
+            seed, 8, "iid", "no_attack", streaming=True
+        )
         for cid in range(8):
             assert_clients_identical(
                 lazy.population.materialize(cid), eager_clients[cid],
@@ -97,8 +143,7 @@ class TestLazyEagerEquivalence:
 
     def test_equivalence_at_scale(self):
         # A few hundred clients: construction-level equality, no training.
-        lazy, eager = build_pair(0, 300, "virtual", "label_flipping_30")
-        eager_clients = list(eager.clients)
+        lazy, eager_clients = build_pair(0, 300, "virtual", "label_flipping_30")
         for cid in (0, 1, 149, 298, 299):
             assert_clients_identical(
                 lazy.population.materialize(cid), eager_clients[cid]

@@ -4,9 +4,9 @@ The RG300 static rules prove the *shape* of the determinism contract —
 total-order heap keys, canonical reassembly, unconditional RNG draws.
 These properties exercise the contract itself: under the schedule
 adversary (``REPRO_CHECK_SCHEDULES=1`` machinery) that shuffles event
-heaps, permutes worker drain order, and reorders submissions, histories
-must stay bit-identical to the unperturbed run — for same-timestamp tie
-storms (zero-latency channel) and for realistic latency spreads alike.
+heaps and permutes worker drain order, histories must stay bit-identical
+to the unperturbed run — for same-timestamp tie storms (zero-latency
+channel) and for realistic latency spreads alike.
 """
 
 import heapq
@@ -22,7 +22,7 @@ from repro.analysis.contracts import (
 from repro.attacks import no_attack
 from repro.config import FederationConfig
 from repro.defenses import FedAvg
-from repro.fl import LegacyProcessPoolBackend, ProcessPoolBackend, build_federation
+from repro.fl import ProcessPoolBackend, build_federation
 
 from .test_async_properties import normalized_bytes
 
@@ -102,14 +102,11 @@ def test_latency_schedule_survives_adversarial_order():
 
 def test_permuted_worker_placement_is_invisible():
     # Worker count changes sticky placement (client_id mod workers) and
-    # the adversary permutes drain/submission order on top — histories
-    # must match the sequential run bit for bit on both process backends.
+    # the adversary permutes drain order on top — histories must match
+    # the sequential run bit for bit at every pool size.
     reference = normalized_bytes(_async_history())
-    for backend_cls, workers in (
-        (ProcessPoolBackend, 2),
-        (LegacyProcessPoolBackend, 3),
-    ):
+    for workers in (2, 3):
         perturbed = _async_history(
-            adversary_seed=5, backend_cls=backend_cls, workers=workers
+            adversary_seed=5, backend_cls=ProcessPoolBackend, workers=workers
         )
         assert normalized_bytes(perturbed) == reference
