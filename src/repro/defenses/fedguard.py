@@ -33,11 +33,17 @@ Design knobs beyond the paper's defaults, all called out in its
   fresh-per-round sampling;
 * the server learning rate lives in the *server* (Fig. 5), not here.
 
-Both the multi-decoder synthesis and the per-update audit run as single
-client-batched passes (:func:`repro.nn.stack_parameters`): all decoders
-decode the shared latents in one stacked forward, and all submitted
-classifiers score the validation set in one stacked predict — bit-identical
-to the per-update loops they replace.
+Both the multi-decoder synthesis and the per-update audit run on
+client-batched models (:func:`repro.nn.stack_parameters`). All decoders
+decode the shared latents in one stacked forward, bit-identical to the
+per-decoder loop it replaces. All submitted classifiers score the
+validation set through one stacked ``predict``, which walks the samples in
+blocks whose activations fit
+:data:`~repro.models.classifier.PREDICT_BLOCK_BYTES`, so the audit's memory
+stays bounded as the m·t samples × m classifiers grow; the first conv
+layer unfolds each shared block once for all m classifiers. Blocking can
+move a logit in its last bits (BLAS panelling follows the block shape), so
+only a near-exact tie between two logits could change a counted prediction.
 """
 
 from __future__ import annotations
@@ -265,9 +271,9 @@ class FedGuard(Strategy):
     ) -> AggregationResult:
         audit_t0 = time.perf_counter()
         synth_x, synth_y = self.synthesize(updates, context)
-        # One C-contiguous validation batch, one stacked classifier, one
-        # batched predict for ALL submissions — the audit must stay a
-        # handful of BLAS calls, never a per-update Python loop.
+        # One C-contiguous validation batch shared by one stacked
+        # classifier: a single predict scores ALL submissions (in
+        # memory-bounded sample blocks), never a per-update Python loop.
         synth_x = np.ascontiguousarray(synth_x)
         assert synth_x.flags["C_CONTIGUOUS"]
         assert synth_x.shape[0] == synth_y.size

@@ -115,7 +115,7 @@ class PDGAN(Strategy):
 
         # Majority-vote labels: the generator cannot tell the server what
         # class it drew, so the round's classifiers vote — one stacked
-        # predict over all submissions (bit-identical to per-update loops).
+        # predict over all submissions, not a per-update loop.
         classifier = context.make_classifier()
         nn.stack_parameters(np.stack([u.weights for u in updates]), classifier)
         all_preds = classifier.predict(np.ascontiguousarray(synth))

@@ -12,18 +12,136 @@ flatten size and the parameter totals, so that is what we use.
 
 A small :class:`MLPClassifier` is provided for fast unit tests and scaled
 benchmark runs.
+
+Both share one inference path: :meth:`Classifier.predict` scores the
+samples in blocks sized so that one block's activations stay within
+:data:`PREDICT_BLOCK_BYTES`, however many samples and stacked models
+there are.
 """
 
 from __future__ import annotations
+
+import contextlib
+from typing import Callable
 
 import numpy as np
 
 from .. import nn
 
-__all__ = ["CNNClassifier", "MLPClassifier", "mnist_cnn", "scaled_cnn"]
+__all__ = [
+    "PREDICT_BLOCK_BYTES", "Classifier", "CNNClassifier", "MLPClassifier",
+    "mnist_cnn", "scaled_cnn",
+]
+
+# Activation bytes one inference block may hold: 16 MiB is 16-sample
+# blocks for 10 stacked paper_scaled CNNs (a conv2 column block is
+# 100 KiB per sample per model).
+PREDICT_BLOCK_BYTES = 16 * 2**20
 
 
-class CNNClassifier(nn.Module):
+class Classifier(nn.Module):
+    """Layer-stack passes and memory-bounded inference shared by the classifiers.
+
+    Subclasses build ``_stack`` (the layers in forward order), shape raw
+    inputs for it in ``_shape_input`` and set ``sample_nbytes``: the bytes
+    of one sample's widest activation in one model — its largest im2col
+    column block or hidden row, in float64.
+
+    ``forward`` runs the whole input at once and caches it for
+    ``backward``. ``predict`` and ``predict_proba`` instead score the input
+    in blocks of ``block_shape(K)`` (models, samples), so their peak memory
+    is set by :data:`PREDICT_BLOCK_BYTES`, not by the input size. Blocking changes
+    the BLAS panelling of each GEMM and so can move logits in their last
+    bits; predictions are unchanged unless two logits tie to within that
+    rounding.
+    """
+
+    sample_nbytes: int
+
+    def _shape_input(self, x: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        """Raw logits: (N, num_classes), or (K, N, num_classes) when stacked."""
+        x = self._shape_input(x)
+        for layer in self._stack:
+            x = layer(x)
+        return x
+
+    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+        for layer in reversed(self._stack):
+            grad_output = layer.backward(grad_output)
+        return grad_output
+
+    def block_shape(self, clients: int) -> tuple[int, int]:
+        """(models, samples) per inference block for ``clients`` stacked models.
+
+        All models share a block while one sample of each fits the budget;
+        beyond that the models are split, one sample per block.
+        """
+        pairs = max(1, PREDICT_BLOCK_BYTES // self.sample_nbytes)
+        models = min(clients, pairs)
+        return models, pairs // models
+
+    def predict(self, x: np.ndarray) -> np.ndarray:
+        """Predicted integer class labels (per client in batched mode)."""
+        return self._score(x, lambda out: np.argmax(out, axis=-1))
+
+    def predict_proba(self, x: np.ndarray) -> np.ndarray:
+        """Softmax class probabilities (the paper's softmax output layer)."""
+        return self._score(x, lambda out: nn.functional.softmax(out, axis=-1))
+
+    def _score(
+        self, x: np.ndarray, head: Callable[[np.ndarray], np.ndarray]
+    ) -> np.ndarray:
+        """``head(forward(x))`` computed over blocks of models and samples.
+
+        ``x`` is an unstacked ``(N, ...)`` batch, one ``(N, D)`` batch
+        shared by every stacked model, or a per-model ``(K, N, ...)``
+        stack; the output has a leading ``(K, N)`` in batched mode and
+        ``(N,)`` otherwise.
+        """
+        stacked = self.client_axis is not None
+        per_model = stacked and x.ndim > 2
+        clients = self.client_axis or 1
+        n = x.shape[1 if per_model else 0]
+        models, samples = self.block_shape(clients)
+        if models == clients and n <= samples:
+            return head(self.forward(x))
+        rows = []
+        for lo in range(0, clients, models):
+            hi = min(lo + models, clients)
+            narrowed = (
+                self._models(lo, hi) if models < clients else contextlib.nullcontext()
+            )
+            with narrowed:
+                parts = [
+                    head(self.forward(
+                        x[lo:hi, s:s + samples] if per_model else x[s:s + samples]
+                    ))
+                    for s in range(0, n, samples)
+                ]
+            rows.append(np.concatenate(parts, axis=1 if stacked else 0))
+        return np.concatenate(rows)
+
+    @contextlib.contextmanager
+    def _models(self, lo: int, hi: int):
+        """Narrow the stacked parameters to models ``lo:hi`` (views)."""
+        params = self.parameters()
+        stacks = [p.data for p in params]
+        clients = self.client_axis
+        for p, data in zip(params, stacks):
+            p.data = data[lo:hi]
+        self.set_client_axis(hi - lo)
+        try:
+            yield
+        finally:
+            for p, data in zip(params, stacks):
+                p.data = data
+            self.set_client_axis(clients)
+
+
+class CNNClassifier(Classifier):
     """Conv–pool–conv–pool–FC–FC classifier (paper Table II, generalized).
 
     Parameters
@@ -66,6 +184,13 @@ class CNNClassifier(nn.Module):
         self.num_classes = num_classes
         final_spatial = image_size // 4
         self.flat_features = c2 * final_spatial * final_spatial
+        area, half_area = image_size * image_size, (image_size // 2) ** 2
+        field = kernel_size * kernel_size
+        self.sample_nbytes = 8 * max(
+            in_channels * field * area, c1 * area,   # conv1 columns, output
+            c1 * field * half_area, c2 * half_area,  # conv2 columns, output
+            hidden, num_classes,
+        )
 
         self.conv1 = nn.Conv2d(in_channels, c1, kernel_size, padding=pad, rng=rng)
         self.relu1 = nn.ReLU()
@@ -83,43 +208,30 @@ class CNNClassifier(nn.Module):
             self.flatten, self.fc1, self.relu3, self.fc2,
         ]
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        """Return raw logits of shape (N, num_classes).
+    def _shape_input(self, x: np.ndarray) -> np.ndarray:
+        """Images for conv1 from (N, C, H, W) images or flat (N, C*H*W) rows.
 
-        Accepts either (N, C, H, W) images or flattened (N, C*H*W) rows.
         In client-batched mode the same applies with a leading client axis
-        — (K, N, ...) stacks — and a plain (N, D) batch is broadcast to
-        every stacked client (one shared batch scored by K models).
+        — (K, N, ...) stacks — and a plain (N, D) batch is shared by every
+        stacked client (one batch scored by K models) as a stride-0
+        broadcast, which ``Conv2d`` unfolds once for all K.
         """
+        image = (self.in_channels, self.image_size, self.image_size)
         if self.client_axis is not None:
             if x.ndim == 2:
-                x = np.broadcast_to(x, (self.client_axis,) + x.shape)
-            if x.ndim == 3:
-                x = np.ascontiguousarray(x).reshape(
-                    x.shape[0], x.shape[1],
-                    self.in_channels, self.image_size, self.image_size,
+                return np.broadcast_to(
+                    x.reshape((x.shape[0],) + image),
+                    (self.client_axis, x.shape[0]) + image,
                 )
-        elif x.ndim == 2:
-            x = x.reshape(-1, self.in_channels, self.image_size, self.image_size)
-        for layer in self._stack:
-            x = layer(x)
+            if x.ndim == 3:
+                return np.ascontiguousarray(x).reshape(x.shape[:2] + image)
+            return x
+        if x.ndim == 2:
+            return x.reshape((-1,) + image)
         return x
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        for layer in reversed(self._stack):
-            grad_output = layer.backward(grad_output)
-        return grad_output
 
-    def predict(self, x: np.ndarray) -> np.ndarray:
-        """Predicted integer class labels (per client in batched mode)."""
-        return np.argmax(self.forward(x), axis=-1)
-
-    def predict_proba(self, x: np.ndarray) -> np.ndarray:
-        """Softmax class probabilities (the paper's softmax output layer)."""
-        return nn.functional.softmax(self.forward(x), axis=-1)
-
-
-class MLPClassifier(nn.Module):
+class MLPClassifier(Classifier):
     """Two-layer MLP on flattened images — fast substitute for unit tests."""
 
     def __init__(
@@ -133,32 +245,19 @@ class MLPClassifier(nn.Module):
         rng = rng if rng is not None else np.random.default_rng()
         self.input_dim = input_dim
         self.num_classes = num_classes
+        self.sample_nbytes = 8 * max(input_dim, hidden, num_classes)
         self.fc1 = nn.Linear(input_dim, hidden, rng=rng)
         self.relu = nn.ReLU()
         self.fc2 = nn.Linear(hidden, num_classes, rng=rng)
         self._stack = [self.fc1, self.relu, self.fc2]
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def _shape_input(self, x: np.ndarray) -> np.ndarray:
+        """Flat rows: (N, D), or (K, N, D) with a shared batch copied per client."""
         if self.client_axis is not None:
             if x.ndim == 2:
                 x = np.broadcast_to(x, (self.client_axis,) + x.shape)
-            x = np.ascontiguousarray(x).reshape(x.shape[0], x.shape[1], -1)
-        else:
-            x = x.reshape(x.shape[0], -1)
-        for layer in self._stack:
-            x = layer(x)
-        return x
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        for layer in reversed(self._stack):
-            grad_output = layer.backward(grad_output)
-        return grad_output
-
-    def predict(self, x: np.ndarray) -> np.ndarray:
-        return np.argmax(self.forward(x), axis=-1)
-
-    def predict_proba(self, x: np.ndarray) -> np.ndarray:
-        return nn.functional.softmax(self.forward(x), axis=-1)
+            return np.ascontiguousarray(x).reshape(x.shape[0], x.shape[1], -1)
+        return x.reshape(x.shape[0], -1)
 
 
 def mnist_cnn(rng: np.random.Generator | None = None) -> CNNClassifier:

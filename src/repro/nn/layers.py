@@ -149,14 +149,19 @@ class Conv2d(Module):
         k, s, p = self.kernel_size, self.stride, self.padding
         out_h = (h + 2 * p - k) // s + 1
         out_w = (w + 2 * p - k) // s + 1
-        cols = F.im2col(
-            np.ascontiguousarray(x).reshape(clients * n, self.in_channels, h, w),
-            k, k, padding=p, stride=s,
-        )  # (C*k*k, K*N*out_h*out_w)
-        ckk = cols.shape[0]
-        cols_b = cols.reshape(ckk, clients, n * out_h * out_w).transpose(1, 0, 2)
+        if x.strides[0] == 0:
+            # One batch shared by every client (a stride-0 broadcast):
+            # unfold it once; matmul broadcasts the (C*k*k, N*L) columns
+            # over the K kernels with the same per-client GEMM.
+            cols = F.im2col(x[0], k, k, padding=p, stride=s)
+        else:
+            cols = F.im2col(
+                np.ascontiguousarray(x).reshape(clients * n, self.in_channels, h, w),
+                k, k, padding=p, stride=s,
+            )  # (C*k*k, K*N*out_h*out_w)
+            cols = cols.reshape(cols.shape[0], clients, -1).transpose(1, 0, 2)
         w_flat = self.weight.data.reshape(clients, self.out_channels, -1)
-        out = np.matmul(w_flat, cols_b)  # (K, out_c, N*out_h*out_w)
+        out = np.matmul(w_flat, cols)  # (K, out_c, N*out_h*out_w)
         out = out.reshape(clients, self.out_channels, n, out_h, out_w)
         out = out.transpose(0, 2, 1, 3, 4)
         if self.has_bias:
@@ -170,18 +175,19 @@ class Conv2d(Module):
         x_shape, cols = self._cache
         k, s, p = self.kernel_size, self.stride, self.padding
         if len(x_shape) == 5:
+            # cols is each client's (K, C*k*k, N*L) view, or the one
+            # (C*k*k, N*L) matrix of a shared batch.
             clients, n = x_shape[0], x_shape[1]
             grad = grad_output.transpose(0, 2, 1, 3, 4)
             grad = grad.reshape(clients, self.out_channels, -1)  # (K, out_c, N*L)
-            ckk = cols.shape[0]
-            cols_b = cols.reshape(ckk, clients, -1).transpose(1, 0, 2)
-            self.weight.grad += np.matmul(grad, cols_b.transpose(0, 2, 1)).reshape(
+            self.weight.grad += np.matmul(grad, np.swapaxes(cols, -1, -2)).reshape(
                 self.weight.data.shape
             )
             if self.has_bias:
                 self.bias.grad += grad_output.sum(axis=(1, 3, 4))
             w_flat = self.weight.data.reshape(clients, self.out_channels, -1)
             dcols_b = np.matmul(w_flat.transpose(0, 2, 1), grad)  # (K, C*k*k, N*L)
+            ckk = w_flat.shape[-1]
             dcols = np.ascontiguousarray(dcols_b.transpose(1, 0, 2)).reshape(ckk, -1)
             dx = F.col2im(
                 dcols, (clients * n,) + x_shape[2:], k, k, padding=p, stride=s

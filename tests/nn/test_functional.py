@@ -92,7 +92,39 @@ class TestSoftmax:
         np.testing.assert_allclose(F.log_softmax(x), np.log(F.softmax(x)), atol=1e-12)
 
 
+def masked_sigmoid(x: np.ndarray) -> np.ndarray:
+    """Reference: the two-branch sigmoid with boolean gathers and scatters."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
 class TestSigmoid:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bytes_equal_masked_reference(self, dtype, rng):
+        # Same per-element operations as the masked form, so equal bytes on
+        # ±0, subnormals, ±inf and inputs whose exp would overflow.
+        info = np.finfo(dtype)
+        special = np.array(
+            [0.0, -0.0, info.tiny, -info.tiny, info.smallest_subnormal,
+             -info.smallest_subnormal, np.inf, -np.inf, info.max, -info.max,
+             100.0, -100.0, 800.0, -800.0],
+            dtype=dtype,
+        )
+        x = np.concatenate([special, (rng.standard_normal(4096) * 30).astype(dtype)])
+        x = x.reshape(2, -1)
+        out = F.sigmoid(x)
+        assert out.dtype == dtype and out.shape == x.shape
+        assert out.tobytes() == masked_sigmoid(x).tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_nan_in_nan_out(self, dtype):
+        out = F.sigmoid(np.array([np.nan, 0.5, -np.nan], dtype=dtype))
+        np.testing.assert_array_equal(np.isnan(out), [True, False, True])
+
     def test_range_and_symmetry(self, rng):
         x = rng.standard_normal(100) * 8
         s = F.sigmoid(x)
