@@ -1,8 +1,11 @@
 """Correctness tooling for the FedGuard reproduction.
 
-Three complementary verification layers (see ``docs/static_analysis.md``):
+Complementary verification layers (see ``docs/static_analysis.md``):
 
-* :mod:`repro.analysis.lint` — repo-specific AST rules (RG001–RG005);
+* :mod:`repro.analysis.lint` — repo-specific AST rules (RG001–RG007,
+  RG206);
+* :mod:`repro.analysis.flow` — whole-program dataflow and concurrency
+  rules (RG101–RG105, RG301, RG303–RG305);
 * :mod:`repro.analysis.gradcheck` — finite-difference verification of
   every hand-written backward pass in :mod:`repro.nn`;
 * :mod:`repro.analysis.contracts` — runtime shape/dtype/no-mutation

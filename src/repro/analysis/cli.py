@@ -1,27 +1,26 @@
 """``python -m repro.analysis`` — run the correctness-tooling passes.
 
-Six passes, all enabled by default:
+Five passes, all enabled by default:
 
-* **lint** — the RG001–RG007 AST rules over the analyzed paths;
+* **lint** — the per-file AST rules (RG001–RG007, RG206) over the
+  analyzed paths;
 * **flow** — the whole-program dataflow analyzer (RG101–RG105: RNG
   provenance, stream aliasing, protocol exhaustiveness, checkpoint
-  completeness, iteration-order determinism);
-* **shapes** — the array shape/dtype/client-axis abstract interpreter
-  (RG201–RG205: broadcast compatibility, silent dtype widening, hidden
-  copies in hot paths, per-client Python loops, batch-axis discipline);
-* **concurrency** — the RG301–RG305 concurrency/determinism verifier
-  (checkpoint coverage of mode/backend state, unordered iteration into
-  order-sensitive sinks, schedule-tainted RNG draws, shared-memory
-  lifecycles, heap tie-break keys);
+  completeness, unordered iteration into order-sensitive sinks);
+* **concurrency** — the RG300 concurrency/determinism verifier (RG301,
+  RG303–RG305: checkpoint coverage of mode/backend state,
+  schedule-tainted RNG draws, shared-memory lifecycles, heap tie-break
+  keys);
 * **gradcheck** — finite-difference verification of every public
   layer/activation/loss backward pass;
 * **contracts** — dynamic audit of every registered defense aggregator
   under the no-mutation/shape/dtype contract.
 
-Select passes positively with ``--passes lint,shapes`` (an unknown pass
+Select passes positively with ``--passes lint,flow`` (an unknown pass
 name is a usage error, exit 2), subtractively with ``--skip``, or by
 naming passes positionally (``python -m repro.analysis concurrency``) —
 a positional that names a pass and no existing file selects that pass.
+A rule belongs to the pass whose rule set contains it.
 
 The three static passes share one reporting pipeline
 (:mod:`repro.analysis.reporting`): findings are deduplicated, filtered
@@ -33,9 +32,10 @@ baseline.
 
 Default targets are the installed ``repro`` package plus the repo's
 ``benchmarks/``, ``examples/`` and ``tests/`` trees when run from the
-repo root. RG005 (narrow dtypes) and RG006 (wire-byte arithmetic) only
-apply to the package itself — tests and benchmarks legitimately
-construct narrow arrays and check byte math.
+repo root. RG005 (narrow dtypes), RG006 (wire-byte arithmetic) and
+RG206 (eager O(n_clients) enumeration) only apply to the package itself
+— tests and benchmarks legitimately construct narrow arrays, check byte
+math and enumerate small federations.
 
 Exit status: 0 clean, 1 findings/failures, 2 usage error — so the
 command gates CI merges. ``--strict`` additionally audits the
@@ -49,19 +49,38 @@ import argparse
 import pathlib
 import sys
 
-from .lint import ALL_RULES, RULE_DESCRIPTIONS, Finding, lint_paths
 from . import reporting
+from .flow import (
+    CONCURRENCY_RULE_DESCRIPTIONS,
+    CONCURRENCY_RULES,
+    FLOW_RULE_DESCRIPTIONS,
+    FLOW_RULES,
+    analyze_paths,
+)
+from .flow.project import OUT_OF_PACKAGE_TREES, collect_files, in_dirs
+from .lint import ALL_RULES, RULE_DESCRIPTIONS, Finding, lint_paths
 
 __all__ = ["main", "run", "build_parser"]
 
-_PASSES = ("lint", "flow", "shapes", "concurrency", "gradcheck", "contracts")
-_STATIC_PASSES = frozenset({"lint", "flow", "shapes", "concurrency"})
+# Each static pass's rules: the lookup behind --rules, per-pass baseline
+# writes and --stats counts.
+_PASS_RULES = {
+    "lint": ALL_RULES,
+    "flow": FLOW_RULES,
+    "concurrency": CONCURRENCY_RULES,
+}
+_STATIC_PASSES = frozenset(_PASS_RULES)
+_PASSES = ("lint", "flow", "concurrency", "gradcheck", "contracts")
+_DESCRIPTIONS = {
+    **RULE_DESCRIPTIONS,
+    **FLOW_RULE_DESCRIPTIONS,
+    **CONCURRENCY_RULE_DESCRIPTIONS,
+}
 _FORMATS = ("text", "json", "sarif")
 
-# Rules scoped to the package source tree. Everything else (benchmarks,
-# examples, tests) runs the remaining rules.
-_SRC_ONLY_RULES = frozenset({"RG005", "RG006"})
-_OUT_OF_SRC_DIRS = frozenset({"tests", "benchmarks", "examples"})
+# Lint rules scoped to the package source tree. Everything else
+# (benchmarks, examples, tests) runs the remaining rules.
+_SRC_ONLY_RULES = frozenset({"RG005", "RG006", "RG206"})
 
 DEFAULT_BASELINE = "analysis-baseline.json"
 DEFAULT_CACHE_DIR = ".repro-cache/analysis"
@@ -77,23 +96,18 @@ def _default_targets() -> list[pathlib.Path]:
     targets = [_default_target()]
     cwd = pathlib.Path.cwd()
     if (cwd / "pyproject.toml").is_file():
-        for name in sorted(_OUT_OF_SRC_DIRS):
+        for name in sorted(OUT_OF_PACKAGE_TREES):
             candidate = cwd / name
             if candidate.is_dir():
                 targets.append(candidate)
     return targets
 
 
-def _is_out_of_src(path: pathlib.Path) -> bool:
-    return not _OUT_OF_SRC_DIRS.isdisjoint(path.parts)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro.analysis",
         description="FedGuard reproduction correctness tooling (AST lint + "
-                    "dataflow + shape interpreter + gradcheck + runtime "
-                    "contracts)",
+                    "dataflow + concurrency + gradcheck + runtime contracts)",
     )
     parser.add_argument(
         "paths", nargs="*", type=pathlib.Path,
@@ -118,7 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--rules", default=None,
         help="comma-separated static rules to run (default: all of "
-             "RG001-RG007, RG101-RG105, RG201-RG206 and RG301-RG305)",
+             "RG001-RG007, RG206, RG101-RG105, RG301 and RG303-RG305)",
     )
     parser.add_argument(
         "--format", dest="fmt", choices=_FORMATS, default="text",
@@ -168,25 +182,18 @@ def main(argv: list[str] | None = None) -> int:
     return run(build_parser().parse_args(argv))
 
 
-def _split_rules(raw: str | None):
-    """--rules value -> per-pass rule sets, or raise ValueError."""
-    from .flow import CONCURRENCY_RULES, FLOW_RULES, SHAPE_RULES
-
+def _split_rules(raw: str | None) -> dict[str, frozenset[str]]:
+    """--rules value -> each static pass's rules to run, or raise ValueError."""
     if raw is None:
-        return None, None, None, None
+        return dict(_PASS_RULES)
     requested = {r.strip().upper() for r in raw.split(",") if r.strip()}
-    known = ALL_RULES | FLOW_RULES | SHAPE_RULES | CONCURRENCY_RULES
+    known = frozenset().union(*_PASS_RULES.values())
     unknown = requested - known - {"RG100"}
     if unknown:
         raise ValueError(
             f"unknown rules: {sorted(unknown)}; known: {sorted(known)}"
         )
-    return (
-        requested & ALL_RULES,
-        requested & FLOW_RULES,
-        requested & SHAPE_RULES,
-        requested & CONCURRENCY_RULES,
-    )
+    return {name: rules & requested for name, rules in _PASS_RULES.items()}
 
 
 def _selected_passes(args) -> set[str]:
@@ -211,13 +218,14 @@ def _selected_passes(args) -> set[str]:
 
 
 def _rule_pass(rule: str) -> str:
-    """Which pass owns a rule code (for per-pass baseline updates)."""
-    if rule.startswith("RG0"):
-        return "lint"
-    if rule.startswith("RG2"):
-        return "shapes"
-    if rule.startswith("RG3"):
-        return "concurrency"
+    """Which pass owns a rule code (for per-pass baseline updates).
+
+    RG100 (a stale suppression) is minted by the reporting pipeline and
+    counts as flow, like any code no pass claims.
+    """
+    for name, rules in _PASS_RULES.items():
+        if rule in rules:
+            return name
     return "flow"
 
 
@@ -246,46 +254,36 @@ def _static_findings(
     args, paths: list[pathlib.Path], selected: set[str],
     stats: dict | None = None,
 ) -> tuple[list[Finding], dict[str, str]]:
-    """Run lint + flow + shapes + concurrency and push everything through
-    the reporting pipeline.
+    """Run lint + flow + concurrency and push everything through the
+    reporting pipeline.
 
     Returns the surviving findings and the analyzed-source map (used for
-    baseline fingerprints when writing a new baseline). The flow, shape
-    and concurrency domains share one engine invocation (and one
+    baseline fingerprints when writing a new baseline). The flow and
+    concurrency domains share one engine invocation (and one
     result-cache entry): the engine is called once with the union of
-    their active rules. When a ``stats`` dict is passed, it receives the
-    engine-cache outcome and per-pass finding counts.
+    their active rules, and not at all when neither has one. When a
+    ``stats`` dict is passed, it receives the engine-cache outcome and
+    per-pass finding counts.
     """
-    from .flow import CONCURRENCY_RULES, FLOW_RULES, SHAPE_RULES, analyze_paths
-    from .flow.project import collect_files
-
-    lint_rules, flow_rules, shape_rules, conc_rules = _split_rules(args.rules)
+    rules = _split_rules(args.rules)
 
     findings: list[Finding] = []
     active_rules: set[str] = set()
-    if "lint" in selected:
-        active_rules |= lint_rules if lint_rules is not None else ALL_RULES
-        src_paths = [p for p in paths if not _is_out_of_src(p)]
-        out_paths = [p for p in paths if _is_out_of_src(p)]
+    lint_rules = rules["lint"] if "lint" in selected else frozenset()
+    if lint_rules:
+        active_rules |= lint_rules
+        src_paths = [p for p in paths if not in_dirs(p, OUT_OF_PACKAGE_TREES)]
+        out_paths = [p for p in paths if in_dirs(p, OUT_OF_PACKAGE_TREES)]
         if src_paths:
             findings.extend(lint_paths(src_paths, rules=lint_rules))
-        if out_paths:
-            scoped = (
-                (lint_rules if lint_rules is not None else ALL_RULES)
-                - _SRC_ONLY_RULES
-            )
-            if scoped:
-                findings.extend(lint_paths(out_paths, rules=scoped))
+        scoped = lint_rules - _SRC_ONLY_RULES
+        if out_paths and scoped:
+            findings.extend(lint_paths(out_paths, rules=scoped))
 
     engine_rules: set[str] = set()
-    if "flow" in selected:
-        engine_rules |= flow_rules if flow_rules is not None else FLOW_RULES
-    if "shapes" in selected:
-        engine_rules |= shape_rules if shape_rules is not None else SHAPE_RULES
-    if "concurrency" in selected:
-        engine_rules |= (
-            conc_rules if conc_rules is not None else CONCURRENCY_RULES
-        )
+    for name in ("flow", "concurrency"):
+        if name in selected:
+            engine_rules |= rules[name]
     if engine_rules:
         active_rules |= engine_rules
         cache_dir = None
@@ -336,21 +334,9 @@ def run(args: argparse.Namespace) -> int:
     Split from :func:`main` so ``repro analyze`` can mount
     :func:`build_parser` as a parent parser and delegate here.
     """
-    from .flow import (
-        CONCURRENCY_RULE_DESCRIPTIONS,
-        FLOW_RULE_DESCRIPTIONS,
-        SHAPE_RULE_DESCRIPTIONS,
-    )
-
     if args.list_rules:
-        for rule in sorted(ALL_RULES):
-            print(f"{rule}: {RULE_DESCRIPTIONS[rule]}")
-        for rule in sorted(FLOW_RULE_DESCRIPTIONS):
-            print(f"{rule}: {FLOW_RULE_DESCRIPTIONS[rule]}")
-        for rule in sorted(SHAPE_RULE_DESCRIPTIONS):
-            print(f"{rule}: {SHAPE_RULE_DESCRIPTIONS[rule]}")
-        for rule in sorted(CONCURRENCY_RULE_DESCRIPTIONS):
-            print(f"{rule}: {CONCURRENCY_RULE_DESCRIPTIONS[rule]}")
+        for rule in sorted(_DESCRIPTIONS):
+            print(f"{rule}: {_DESCRIPTIONS[rule]}")
         return 0
 
     try:
@@ -407,14 +393,8 @@ def run(args: argparse.Namespace) -> int:
             baseline = reporting.load_baseline(baseline_path)
             findings = reporting.apply_baseline(findings, baseline, sources)
 
-        descriptions = {
-            **RULE_DESCRIPTIONS,
-            **FLOW_RULE_DESCRIPTIONS,
-            **SHAPE_RULE_DESCRIPTIONS,
-            **CONCURRENCY_RULE_DESCRIPTIONS,
-        }
         rendered = reporting.format_findings(
-            findings, fmt=args.fmt, descriptions=descriptions
+            findings, fmt=args.fmt, descriptions=_DESCRIPTIONS
         )
         if args.output is not None:
             args.output.parent.mkdir(parents=True, exist_ok=True)

@@ -25,16 +25,13 @@ function that *always* checks, independent of the environment — it is what
 ``python -m repro.analysis`` uses to dynamically audit every registered
 defense, and what tests call directly.
 
-A third family pairs with the static RG200 shape analysis
-(:mod:`repro.analysis.flow.shapes`): :func:`client_batched` declares that
-a function preserves the leading (client/batch) axis of its array inputs.
-Statically, the flow engine seeds the function's parameters as
-axis-carrying and reports RG205 if a return provably drops the axis.  At
-runtime the decorator is a zero-overhead no-op unless
+A third family is the runtime shape oracle: :func:`client_batched`
+declares that a function preserves the leading (client/batch) axis of its
+array inputs. The decorator is a zero-overhead no-op unless
 ``REPRO_RECORD_SHAPES=1`` is set before import, in which case every call
 records observed input/output shapes and dtypes; :func:`shape_oracle_report`
-then cross-checks the same invariants (leading axis preserved, no silent
-float widening) against ground truth from a real federation.
+then checks two invariants (leading axis preserved, no silent float
+widening) against those observations from a real federation.
 """
 
 from __future__ import annotations
@@ -54,7 +51,6 @@ __all__ = [
     "aggregate_contract",
     "verify_aggregate",
     "client_batched",
-    "loop_fallback",
     "record_shapes",
     "shape_recording_enabled",
     "shape_observations",
@@ -347,10 +343,7 @@ def record_shapes(func: Callable) -> Callable:
 def client_batched(func: Callable) -> Callable:
     """Declare that ``func`` preserves the leading axis of its array inputs.
 
-    The declaration is what the static RG205 rule keys on: the flow
-    engine seeds every parameter as carrying the client axis and flags
-    any return that provably drops it.  At runtime this is the original
-    function object untouched (zero overhead) unless
+    This is the original function object untouched (zero overhead) unless
     ``REPRO_RECORD_SHAPES=1`` was set at import time, in which case calls
     are recorded for :func:`shape_oracle_report`.
     """
@@ -358,23 +351,6 @@ def client_batched(func: Callable) -> Callable:
     if not shape_recording_enabled():
         return func
     return record_shapes(func)
-
-
-def loop_fallback(func: Callable) -> Callable:
-    """Declare an *audited, intentional* per-client Python loop.
-
-    The RG204 migration work-list drove every hot-path client loop into
-    the batched engine; what remains is either the loop engine itself
-    (the semantic reference the batched engine is bit-compared against)
-    or order-sensitive per-client bookkeeping that is not a hot path
-    (stream ingestion, attack finalization). Marking such a function with
-    this decorator exempts its body from RG204 — the marker is greppable,
-    reviewed like a ``noqa``, and documented in ``docs/static_analysis.md``.
-
-    Runtime no-op: returns the original function with a tag attribute.
-    """
-    func.__repro_loop_fallback__ = True
-    return func
 
 
 def shape_observations() -> list[ShapeObservation]:
@@ -387,15 +363,13 @@ def clear_shape_observations() -> None:
 
 
 def shape_oracle_report() -> dict:
-    """Cross-check recorded calls against the static batched invariants.
+    """Check recorded calls against the ``@client_batched`` invariants.
 
-    The static analysis claims two things about every ``@client_batched``
-    function that analyzes clean (no RG205/RG202): the leading axis of
-    the first array input survives to the output, and float32 inputs are
-    not silently widened to float64.  This report checks both claims
-    against the recorded ground truth; a non-empty ``disagreements`` list
-    means either the annotation or the interpreter's transfer functions
-    are wrong.
+    Every annotated function promises two things: the leading axis of
+    its first array input survives to the output, and float32 inputs are
+    not silently widened to float64.  This report checks both promises
+    against the recorded calls; a non-empty ``disagreements`` list means
+    an annotated function breaks its declaration.
     """
     disagreements: list[str] = []
     call_sites: set[str] = set()

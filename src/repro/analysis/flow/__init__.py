@@ -13,10 +13,7 @@ this package sees the *whole* ``src/repro`` tree at once:
   call-site parameter summaries iterated to a fixpoint;
 * :mod:`.rules` / :mod:`.protocol` — the RG100-series rule family built
   on top of those facts;
-* :mod:`.shapes` — a second abstract domain over the same project/CFG
-  infrastructure: array shape, dtype, and leading-client-axis tracking
-  (the RG200-series rules paving the batched multi-client engine);
-* :mod:`.concurrency` — a third domain over the same project model:
+* :mod:`.concurrency` — a second domain over the same project model:
   event-heap tie-break keys, checkpoint coverage of mutable mode/backend
   state, schedule-tainted RNG draws, and shared-memory lifecycles (the
   RG300-series rules guarding the async/parallel determinism seams);
@@ -37,7 +34,6 @@ from .engine import (
     analyze_paths,
     analyze_source,
 )
-from .shapes import SHAPE_RULES, SHAPE_RULE_DESCRIPTIONS
 
 __all__ = [
     "CONCURRENCY_RULES",
@@ -45,8 +41,6 @@ __all__ = [
     "ENGINE_RULES",
     "FLOW_RULES",
     "FLOW_RULE_DESCRIPTIONS",
-    "SHAPE_RULES",
-    "SHAPE_RULE_DESCRIPTIONS",
     "analyze_paths",
     "analyze_source",
 ]

@@ -1,7 +1,7 @@
 """RG300: the concurrency & determinism abstract domain.
 
-The third domain of the whole-program engine (after the RG100 RNG/
-protocol family and the RG200 shape family): it models the seams that
+The second domain of the whole-program engine (after the RG100 RNG/
+protocol family): it models the seams that
 PR 9's event-driven async mode and the worker-resident process pool
 opened — the simulated-time event heap, the evolving ``ServerMode`` /
 backend state that checkpoints must carry, RNG draw-sites reachable
@@ -16,13 +16,6 @@ Rules
   neither ``state_dict`` reads nor ``load_state_dict`` restores: a
   resumed federation silently diverges from the uninterrupted one.
   (Extends RG104's payload-field check to the mode/backend seam.)
-* **RG302** — a provably unordered collection (a set
-  literal/comprehension, ``set()``/``frozenset()``, or a set-algebra
-  result) feeding a float reduction (``sum``/``fsum``/``prod``) or a
-  ``heapq`` push: set iteration order varies with ``PYTHONHASHSEED``,
-  so the reduction's float rounding — and hence history bytes — would
-  too. (Complements RG105, whose dataflow layer owns the
-  append/accumulate sinks; RG302 claims the sinks it does not model.)
 * **RG303** — an RNG stream drawn under control flow whose predicate is
   tainted by arrival/flush order (values that came off the event heap,
   a pipe ``recv``/``poll``, or a liveness probe): the *number* of draws
@@ -39,11 +32,14 @@ Rules
   schedule. Entries must carry a unique sequence element —
   ``(time, seq, kind, payload)`` in ``fl/modes.py``.
 
-All five rules fire only on what they can *prove* from the AST (the
+Unordered iteration into float reductions and heap pushes is RG105's
+job: its dataflow tracks set-ness across assignments.
+
+All four rules fire only on what they can *prove* from the AST (the
 usual engine discipline: a silent pass is better than a noisy guess),
-and only inside the package's concurrency-bearing trees (``fl/``,
-``defenses/``) — tests, benchmarks and examples legitimately shuffle
-schedules and leak fixtures.
+and only inside package round logic (:func:`.project.is_round_logic`)
+— tests, benchmarks and examples legitimately shuffle schedules and
+leak fixtures.
 
 The dynamic half of this domain is the schedule sanitizer in
 :mod:`repro.analysis.contracts` (``REPRO_CHECK_SCHEDULES=1``): it
@@ -56,11 +52,10 @@ statically.
 from __future__ import annotations
 
 import ast
-import pathlib
 from typing import Iterable
 
 from ..lint import Finding
-from .project import Project
+from .project import Project, is_round_logic
 
 __all__ = [
     "CONCURRENCY_RULES",
@@ -71,8 +66,6 @@ __all__ = [
 CONCURRENCY_RULE_DESCRIPTIONS = {
     "RG301": "mode/backend state mutated in round logic but missing from "
              "state_dict/load_state_dict",
-    "RG302": "unordered collection iteration feeding an order-sensitive "
-             "reduction or heap push",
     "RG303": "RNG stream drawn under control flow dependent on "
              "arrival/flush order",
     "RG304": "shared-memory segment without close+unlink on all paths, "
@@ -80,10 +73,6 @@ CONCURRENCY_RULE_DESCRIPTIONS = {
     "RG305": "heapq entry without a total-order deterministic tie-break key",
 }
 CONCURRENCY_RULES = frozenset(CONCURRENCY_RULE_DESCRIPTIONS)
-
-# Path scoping: the concurrency seams live in the round-logic trees.
-_EXCLUDED_TREES = frozenset({"tests", "benchmarks", "examples"})
-_CONCURRENCY_DIRS = frozenset({"fl", "defenses"})
 
 # Methods whose call mutates their receiver in place (the root self-attr
 # they hang off counts as mutated for RG301).
@@ -113,25 +102,9 @@ _DRAW_METHODS = frozenset({
 })
 _DRAW_RECEIVERS = ("rng", "sampler", "random", "generator")
 
-# RG302 order-sensitive float reductions over an iterable argument.
-_REDUCERS = frozenset({"sum", "fsum", "prod"})
-# Set-algebra methods whose result is as unordered as their receiver.
-_SET_ALGEBRA = frozenset({"union", "intersection", "difference",
-                          "symmetric_difference"})
-
 # RG305: identifiers that denote a monotone per-push sequence (the
 # explicit tie-break contract `(time, seq, kind, payload)`).
 _SEQ_MARKERS = ("seq", "tie", "counter", "serial")
-
-
-def _in_dirs(path: str, dirs: frozenset) -> bool:
-    return not dirs.isdisjoint(pathlib.PurePath(path).parts)
-
-
-def _rule_in_scope(path: str) -> bool:
-    if _in_dirs(path, _EXCLUDED_TREES):
-        return False
-    return _in_dirs(path, _CONCURRENCY_DIRS)
 
 
 def _self_attr_root(node: ast.AST) -> str | None:
@@ -245,94 +218,6 @@ def check_rg301(module_path: str, tree: ast.Module) -> list[Finding]:
                     f"'{cls.name}.{item.name}' mutates self.{attr} but "
                     f"'{cls.name}.state_dict' never checkpoints it — a "
                     f"resumed federation diverges from the straight run",
-                ))
-    return findings
-
-
-# ---------------------------------------------------------------------------
-# RG302 — unordered iteration into order-sensitive sinks
-# ---------------------------------------------------------------------------
-
-
-def _unordered_names(func: ast.AST) -> set[str]:
-    """Names provably bound to unordered collections in this function."""
-    names: set[str] = set()
-    for _ in range(2):  # one extra pass resolves name-to-name chains
-        for node in ast.walk(func):
-            if isinstance(node, ast.Assign) and _is_unordered(node.value, names):
-                for target in node.targets:
-                    if isinstance(target, ast.Name):
-                        names.add(target.id)
-    return names
-
-
-def _is_unordered(expr: ast.AST, names: set[str]) -> bool:
-    if isinstance(expr, (ast.Set, ast.SetComp)):
-        return True
-    if isinstance(expr, ast.Name):
-        return expr.id in names
-    if isinstance(expr, ast.Call):
-        name = _call_name(expr.func)
-        if name in ("set", "frozenset"):
-            return True
-        if name in _SET_ALGEBRA and isinstance(expr.func, ast.Attribute):
-            base = expr.func.value
-            return _is_unordered(base, names)
-    if isinstance(expr, ast.BinOp) and isinstance(
-        expr.op, (ast.BitOr, ast.BitAnd, ast.Sub, ast.BitXor)
-    ):
-        # Set algebra via operators: unordered if either side provably is.
-        return _is_unordered(expr.left, names) or _is_unordered(expr.right, names)
-    return False
-
-
-def _order_sensitive_sink(body: list[ast.stmt]) -> ast.AST | None:
-    """First heap push in a loop body, if any.
-
-    Append/AugAssign sinks under unordered iteration are RG105's
-    territory (the dataflow layer tracks them across assignments);
-    RG302 claims only the sinks that layer does not model — heap
-    mutations here, float reducers in :func:`check_rg302`.
-    """
-    for stmt in body:
-        for node in ast.walk(stmt):
-            if isinstance(node, ast.Call):
-                name = _call_name(node.func)
-                if name in _HEAP_MUTATORS:
-                    return node
-    return None
-
-
-def check_rg302(module_path: str, func: ast.AST) -> list[Finding]:
-    findings: list[Finding] = []
-    names = _unordered_names(func)
-    for node in ast.walk(func):
-        if isinstance(node, ast.For) and _is_unordered(node.iter, names):
-            sink = _order_sensitive_sink(node.body)
-            if sink is not None:
-                findings.append(Finding(
-                    "RG302", module_path, node.lineno, node.col_offset,
-                    "iteration over an unordered collection feeds an "
-                    "order-sensitive reduction/heap push; iterate "
-                    "sorted(...) with a canonical key",
-                ))
-        elif isinstance(node, ast.Call):
-            name = _call_name(node.func)
-            if name not in _REDUCERS or not node.args:
-                continue
-            arg = node.args[0]
-            inner = (
-                arg.generators[0].iter
-                if isinstance(arg, (ast.GeneratorExp, ast.ListComp))
-                and arg.generators
-                else arg
-            )
-            if _is_unordered(inner, names):
-                findings.append(Finding(
-                    "RG302", module_path, node.lineno, node.col_offset,
-                    f"'{name}' reduces over an unordered collection; float "
-                    f"accumulation order follows set iteration order — "
-                    f"reduce over sorted(...) instead",
                 ))
     return findings
 
@@ -710,7 +595,7 @@ def analyze_concurrency_project(
     findings: list[Finding] = []
     for module in project.modules.values():
         path = module.path
-        if not _rule_in_scope(path):
+        if not is_round_logic(path):
             continue
         tree = module.tree
         if "RG301" in active:
@@ -718,8 +603,6 @@ def analyze_concurrency_project(
         if "RG303" in active:
             findings.extend(check_rg303(path, tree))
         for func in _module_functions(tree):
-            if "RG302" in active:
-                findings.extend(check_rg302(path, func))
             if "RG304" in active:
                 findings.extend(check_rg304(path, func))
             if "RG305" in active:

@@ -182,6 +182,9 @@ _SET_METHODS = {
 # Calls that materialize their (first) argument in iteration order.
 _ORDER_SINK_CALLS = {"list", "tuple", "enumerate", "array", "stack",
                      "concatenate", "fromiter", "asarray", "join", "zip"}
+# Float reductions over their first argument: accumulation order (hence
+# rounding) follows iteration order.
+_REDUCER_CALLS = {"sum", "fsum", "prod"}
 
 
 def _is_unseeded_args(node: ast.Call) -> bool:
@@ -422,6 +425,8 @@ class Evaluator:
             return Value(order=Order.ORDERED)
         if attr_name in _SET_METHODS and base_value.order == Order.UNORDERED:
             return Value(order=Order.UNORDERED)
+        if attr_name in _REDUCER_CALLS and arg_values:
+            self._record_iter(node, arg_values[0], f"{attr_name}() reduction")
 
         # --- interprocedural return summaries ---------------------------
         # Factory functions analyzed elsewhere in the project: the engine
@@ -485,7 +490,8 @@ def _loop_spans(func: ast.AST) -> list[tuple[int, int]]:
     return spans
 
 
-_MUTATING_LIST_METHODS = {"append", "extend", "insert", "add_update"}
+# heapq calls that insert an entry: equal keys pop in insertion order.
+_HEAP_PUSHES = {"heappush", "heappushpop", "heapreplace"}
 
 
 def _loop_body_orders(body: list[ast.stmt]) -> str | None:
@@ -497,12 +503,19 @@ def _loop_body_orders(body: list[ast.stmt]) -> str | None:
                 return "augmented accumulation in loop body"
             if isinstance(node, (ast.Yield, ast.YieldFrom)):
                 return "yield in loop body"
-            if (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr in ("append", "extend", "insert")
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = (
+                func.attr if isinstance(func, ast.Attribute)
+                else func.id if isinstance(func, ast.Name) else ""
+            )
+            if isinstance(func, ast.Attribute) and name in (
+                "append", "extend", "insert"
             ):
-                return f".{node.func.attr}() in loop body"
+                return f".{name}() in loop body"
+            if name in _HEAP_PUSHES:
+                return f"{name}() in loop body"
     return None
 
 

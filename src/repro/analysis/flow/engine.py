@@ -55,7 +55,6 @@ from .concurrency import CONCURRENCY_RULES, analyze_concurrency_project
 from .project import ModuleInfo, Project, collect_files, load_project, load_source
 from .protocol import check_rg103, check_rg104
 from .rules import check_rg101, check_rg102, check_rg105
-from .shapes import SHAPE_RULES, analyze_shapes_project
 
 __all__ = [
     "FLOW_RULES",
@@ -67,10 +66,9 @@ __all__ = [
     "analyze_source",
 ]
 
-# v3: the RG300 concurrency/determinism domain joined the engine (v2
-# added the RG200 shape domain); bumping the version invalidates result-
-# cache entries written by earlier engines.
-ENGINE_VERSION = 3
+# v4: RG105 gained the float-reduction and heap-push sinks, which cached
+# results of earlier engines lack; bumping the version invalidates them.
+ENGINE_VERSION = 4
 MAX_ROUNDS = 8
 
 FLOW_RULE_DESCRIPTIONS = {
@@ -79,16 +77,16 @@ FLOW_RULE_DESCRIPTIONS = {
     "RG102": "one RNG stream aliased across client/server consumers",
     "RG103": "message tag sent with no dispatch branch, or dispatched but never sent",
     "RG104": "checkpoint field written but never restored, or read but never written",
-    "RG105": "unordered iteration feeding aggregation/selection order in round logic",
+    "RG105": "unordered iteration feeding aggregation/selection order, a float "
+             "reduction or a heap push in round logic",
 }
 # RG100 is minted by the reporting pipeline (it needs the suppression
 # table, not dataflow facts), so it is not a runnable engine rule.
 FLOW_RULES = frozenset(FLOW_RULE_DESCRIPTIONS) - {"RG100"}
 
-# Everything the engine can run: the RNG/order/protocol family, the
-# RG200 shape/dtype/client-axis family from :mod:`.shapes`, and the
+# Everything the engine can run: the RNG/order/protocol family and the
 # RG300 concurrency/determinism family from :mod:`.concurrency`.
-ENGINE_RULES = FLOW_RULES | SHAPE_RULES | CONCURRENCY_RULES
+ENGINE_RULES = FLOW_RULES | CONCURRENCY_RULES
 
 
 @dataclass
@@ -215,7 +213,7 @@ def _global_envs(project: Project) -> dict[str, Env]:
 def analyze_project(
     project: Project, rules: Iterable[str] | None = None
 ) -> list[Finding]:
-    """Run the full engine (flow + shape + concurrency domains)."""
+    """Run the full engine (flow + concurrency domains)."""
     active = (
         ENGINE_RULES if rules is None
         else {r.upper() for r in rules} & ENGINE_RULES
@@ -223,8 +221,6 @@ def analyze_project(
     findings: list[Finding] = []
     if active & FLOW_RULES:
         findings.extend(_analyze_flow_domain(project, active & FLOW_RULES))
-    if active & SHAPE_RULES:
-        findings.extend(analyze_shapes_project(project, active & SHAPE_RULES))
     if active & CONCURRENCY_RULES:
         findings.extend(
             analyze_concurrency_project(project, active & CONCURRENCY_RULES)

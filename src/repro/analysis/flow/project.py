@@ -27,10 +27,14 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 __all__ = [
+    "OUT_OF_PACKAGE_TREES",
+    "ROUND_LOGIC_DIRS",
     "ModuleInfo",
     "Project",
     "Resolved",
     "collect_files",
+    "in_dirs",
+    "is_round_logic",
     "load_project",
 ]
 
@@ -38,6 +42,27 @@ __all__ = [
 # buggy, caches and egg-info are not source. One shared definition with
 # the plain linter so the two passes agree on what "the tree" is.
 from ..lint import EXCLUDED_DIR_NAMES  # noqa: E402
+
+# Trees analyzed alongside the package but never part of it: tests,
+# benchmarks and examples legitimately shuffle schedules, iterate sets
+# and build narrow arrays.
+OUT_OF_PACKAGE_TREES = frozenset({"tests", "benchmarks", "examples"})
+# Package directories holding round logic (federation actors and
+# aggregators).
+ROUND_LOGIC_DIRS = frozenset({"fl", "defenses"})
+
+
+def in_dirs(path: str | pathlib.PurePath, dirs) -> bool:
+    """Whether any component of ``path`` is one of ``dirs``."""
+    return not frozenset(dirs).isdisjoint(pathlib.PurePath(path).parts)
+
+
+def is_round_logic(path: str) -> bool:
+    """Package round logic: under ``fl/`` or ``defenses/``, outside the
+    tests/benchmarks/examples trees."""
+    return in_dirs(path, ROUND_LOGIC_DIRS) and not in_dirs(
+        path, OUT_OF_PACKAGE_TREES
+    )
 
 
 @dataclass

@@ -5,6 +5,11 @@ These consume the facts produced by :class:`.dataflow.FunctionAnalysis`
 iterations) — see :mod:`.protocol` for the syntactic protocol rules
 RG103/RG104 and :mod:`.engine` for the driver that wires everything
 together.
+
+RG101/RG102 decide "round logic" from the *callee's* defining module, so
+a test or benchmark handing an unseeded stream to ``fl/`` code is still
+flagged; RG105 judges the iterating module itself and so only applies to
+package round logic (:func:`.project.is_round_logic`).
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ import pathlib
 
 from ..lint import Finding
 from .dataflow import AttrStoreFact, CallFact, IterFact, Order, Tag
-from .project import Resolved
+from .project import ROUND_LOGIC_DIRS, in_dirs, is_round_logic
 
 __all__ = ["check_rg101", "check_rg102", "check_rg105"]
 
@@ -29,18 +34,11 @@ _ROUND_LOGIC_NAMES = {
     "run_round",
 }
 
-# Modules whose path marks them as round logic / federation actors.
-_ROUND_LOGIC_DIRS = ("fl", "defenses")
-
 # Client-side vs server-side consumers for RG102 stream aliasing.
 _CLIENT_NAMES = {"FLClient"}
 _SERVER_NAMES = {"Server", "aggregate"}
 _CLIENT_FILES = ("client.py",)
 _SERVER_FILES = ("server.py", "sampling.py")
-
-
-def _in_dirs(path: str, dirs: tuple[str, ...]) -> bool:
-    return bool(set(pathlib.PurePath(path).parts) & set(dirs))
 
 
 def _is_round_logic_callee(fact: CallFact) -> bool:
@@ -49,7 +47,7 @@ def _is_round_logic_callee(fact: CallFact) -> bool:
         # Resolved inside the project: the defining module's path is
         # authoritative (a models/ helper named run_round is not round
         # logic). Name matching is only a fallback for opaque targets.
-        return _in_dirs(resolved.module.path, _ROUND_LOGIC_DIRS)
+        return in_dirs(resolved.module.path, ROUND_LOGIC_DIRS)
     return fact.attr_name in _ROUND_LOGIC_NAMES
 
 
@@ -98,7 +96,7 @@ def check_rg101(
                     )
                 )
     for store in attr_stores:
-        if not _in_dirs(store.module.path, _ROUND_LOGIC_DIRS):
+        if not in_dirs(store.module.path, ROUND_LOGIC_DIRS):
             continue
         if store.value.tag in (Tag.UNSEEDED, Tag.AMBIGUOUS):
             what = "unseeded" if store.value.tag == Tag.UNSEEDED else "ambiguously seeded"
@@ -125,11 +123,11 @@ def _domain(fact: CallFact) -> str | None:
     resolved = fact.resolved
     if resolved is not None and resolved.module is not None:
         name = pathlib.PurePath(resolved.module.path).name
-        if _in_dirs(resolved.module.path, ("fl",)) and name in _CLIENT_FILES:
+        if in_dirs(resolved.module.path, ("fl",)) and name in _CLIENT_FILES:
             return "client"
-        if _in_dirs(resolved.module.path, ("fl",)) and name in _SERVER_FILES:
+        if in_dirs(resolved.module.path, ("fl",)) and name in _SERVER_FILES:
             return "server"
-        if _in_dirs(resolved.module.path, ("defenses",)):
+        if in_dirs(resolved.module.path, ("defenses",)):
             return "server"
     base = fact.resolved.basename if fact.resolved is not None else fact.attr_name
     if base in _CLIENT_NAMES or fact.attr_name in _CLIENT_NAMES:
@@ -212,14 +210,14 @@ def check_rg102(calls: list[CallFact]) -> list[Finding]:
 
 
 # ---------------------------------------------------------------------------
-# RG105 — unordered iteration feeding aggregation/selection order
+# RG105 — unordered iteration feeding an order-sensitive sink
 # ---------------------------------------------------------------------------
 
 
 def check_rg105(iterations: list[IterFact]) -> list[Finding]:
     findings = []
     for fact in iterations:
-        if not _in_dirs(fact.module.path, _ROUND_LOGIC_DIRS):
+        if not is_round_logic(fact.module.path):
             continue
         if fact.value.order != Order.UNORDERED:
             continue
@@ -229,10 +227,10 @@ def check_rg105(iterations: list[IterFact]) -> list[Finding]:
                 fact.module.path,
                 fact.node.lineno,
                 fact.node.col_offset,
-                f"iteration over an unordered collection feeds an ordered "
-                f"result ({fact.sink}) in round logic; aggregation and "
-                f"selection order must be deterministic — iterate "
-                f"`sorted(...)` instead",
+                f"iteration over an unordered collection feeds an "
+                f"order-sensitive sink ({fact.sink}) in round logic; "
+                f"aggregation, selection, float-reduction and heap order "
+                f"must be deterministic — iterate `sorted(...)` instead",
             )
         )
     return findings

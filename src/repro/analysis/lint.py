@@ -36,17 +36,22 @@ RG007     Wall-clock reads (``time.time()``, ``datetime.now()``, ...)
           *simulated* time and seeded RNG streams, or fault replay stops
           being deterministic. ``time.perf_counter``/``monotonic`` stay
           allowed — they only *measure* durations, they never decide.
+RG206     Eager O(n_clients) enumeration (a ``range(n_clients)`` loop or
+          comprehension, ``.spawn(n_clients)``, ``[...] * n_clients``)
+          outside :mod:`repro.fl.population`. The lazy population keeps
+          a round O(clients_per_round); any per-population construct
+          silently brings back the O(n_clients) build.
 ========  =============================================================
 
-Any finding can be suppressed per line with ``# noqa: RGxxx`` (or a bare
-``# noqa``).
+Suppress a finding on its line with ``# repro: noqa[RGxxx]``; the
+suppression is applied (and audited for staleness, RG100) by
+:mod:`repro.analysis.reporting`, not here.
 """
 
 from __future__ import annotations
 
 import ast
 import pathlib
-import re
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -89,6 +94,9 @@ RULE_DESCRIPTIONS = {
     "RG005": "narrow float dtype (float32/float16) in nn/ hot path",
     "RG006": "wire-byte arithmetic outside repro.fl.transport",
     "RG007": "wall-clock read in fl/ round logic; use simulated time / seeded RNG",
+    "RG206": "eager O(n_clients) enumeration (range(n_clients) loop/"
+             "comprehension, .spawn(n_clients), or list * n_clients) outside "
+             "the lazy population module",
 }
 ALL_RULES = frozenset(RULE_DESCRIPTIONS)
 
@@ -114,19 +122,7 @@ _MUTATING_METHODS = {"sort", "fill", "put", "resize", "partition", "setfield"}
 # np.<ufunc>.at / np.copyto mutate their first argument (RG002).
 _MUTATING_NP_CALLS = {"copyto", "place", "putmask"}
 
-_NOQA_RE = re.compile(r"#\s*noqa(?::\s*(?P<codes>[A-Z0-9, ]+))?", re.IGNORECASE)
-
 _ATTR_NAMES = ("weights", "decoder_weights", "data")
-
-
-def _noqa_suppresses(line_text: str, rule: str) -> bool:
-    m = _NOQA_RE.search(line_text)
-    if not m:
-        return False
-    codes = m.group("codes")
-    if codes is None:
-        return True  # bare "# noqa" suppresses everything
-    return rule in {c.strip().upper() for c in codes.split(",")}
 
 
 def _root_name(node: ast.AST) -> str | None:
@@ -635,6 +631,84 @@ def _check_rg007(tree: ast.Module, path: str) -> list[Finding]:
 
 
 # ---------------------------------------------------------------------------
+# RG206 — eager O(n_clients) enumeration outside the lazy population
+# ---------------------------------------------------------------------------
+
+
+def _mentions_n_clients(node: ast.AST) -> bool:
+    return any(
+        (isinstance(sub, ast.Name) and sub.id == "n_clients")
+        or (isinstance(sub, ast.Attribute) and sub.attr == "n_clients")
+        for sub in ast.walk(node)
+    )
+
+
+def _is_range_n_clients(node: ast.AST) -> bool:
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "range"
+        and any(_mentions_n_clients(arg) for arg in node.args)
+    )
+
+
+def _check_rg206(tree: ast.Module, path: str) -> list[Finding]:
+    """Findings sit on the ``range``/``spawn`` expression itself (for a
+    multi-line comprehension, its ``for ... in range(...)`` line) so a
+    suppression sits next to the clause it justifies."""
+    pure = pathlib.PurePath(path)
+    # The lazy population is the one module allowed to reason about the
+    # full client index space (it does so per index, on demand).
+    if pure.name == "population.py" and "fl" in pure.parts:
+        return []
+    findings = []
+
+    def flag(node: ast.AST, message: str) -> None:
+        findings.append(
+            Finding("RG206", path, node.lineno, node.col_offset, message)
+        )
+
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.For, ast.AsyncFor)):
+            if _is_range_n_clients(node.iter):
+                flag(node.iter,
+                     "eager `for ... in range(n_clients)` loop: iterate "
+                     "sampled clients only, or derive per-index state "
+                     "lazily via repro.fl.population")
+        elif isinstance(node, ast.comprehension):
+            if _is_range_n_clients(node.iter):
+                flag(node.iter,
+                     "eager comprehension over range(n_clients) "
+                     "materializes O(n_clients) objects; derive per-index "
+                     "state lazily via repro.fl.population")
+        elif isinstance(node, ast.Call):
+            func = node.func
+            if (
+                isinstance(func, ast.Attribute)
+                and func.attr == "spawn"
+                and node.args
+                and _mentions_n_clients(node.args[0])
+            ):
+                flag(node,
+                     ".spawn(n_clients) materializes O(n_clients) RNG "
+                     "children; derive index-keyed children lazily "
+                     "(SeedParent in repro.fl.population)")
+        elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
+            if (
+                isinstance(node.left, ast.List)
+                and _mentions_n_clients(node.right)
+            ) or (
+                isinstance(node.right, ast.List)
+                and _mentions_n_clients(node.left)
+            ):
+                flag(node,
+                     "`[...] * n_clients` allocates an O(n_clients) list; "
+                     "keep per-client state sparse/packed "
+                     "(repro.fl.population)")
+    return findings
+
+
+# ---------------------------------------------------------------------------
 # driver
 # ---------------------------------------------------------------------------
 
@@ -674,15 +748,10 @@ def lint_source(
         findings.extend(_check_rg006(tree, path))
     if "RG007" in active:
         findings.extend(_check_rg007(tree, path))
-
-    lines = source.splitlines()
-    kept = []
-    for f in findings:
-        line_text = lines[f.line - 1] if 0 < f.line <= len(lines) else ""
-        if not _noqa_suppresses(line_text, f.rule):
-            kept.append(f)
-    kept.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
-    return kept
+    if "RG206" in active:
+        findings.extend(_check_rg206(tree, path))
+    findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
+    return findings
 
 
 def _collect_files(paths: Sequence[pathlib.Path]) -> list[pathlib.Path]:

@@ -1,16 +1,17 @@
-"""Reporting pipeline shared by the lint and flow passes.
+"""Reporting pipeline shared by the lint, flow and concurrency passes.
 
-Every static finding (RG001–RG007 from :mod:`.lint`, RG101–RG105 and
-RG201–RG205 from :mod:`.flow`) flows through the same post-processing
-before anything is printed or an exit code decided:
+Every static finding (RG001–RG007 and RG206 from :mod:`.lint`,
+RG101–RG105, RG301 and RG303–RG305 from :mod:`.flow`) flows through the
+same post-processing before anything is printed or an exit code decided:
 
 1. **dedup** — one finding per ``(path, line, rule)``; overlapping passes
    (or the same fact reached twice interprocedurally) never double-report.
 2. **suppressions** — ``# repro: noqa[RG101]`` (comma-separated codes
-   allowed) on the flagged line silences that finding. Unlike the legacy
-   bare ``# noqa``, the repro form *requires* codes: blanket suppression
-   hides unrelated future findings. A suppression that silences nothing
-   is itself reported as **RG100** — stale suppressions rot into
+   allowed) on the flagged line silences that finding; it is the only
+   suppression the analyzer honours. It *requires* codes: blanket
+   suppression would hide unrelated future findings, so a bare
+   ``# noqa`` hides nothing. A suppression that silences nothing is
+   itself reported as **RG100** — stale suppressions rot into
    load-bearing lies about what the analyzer checked.
 3. **baseline** — known, accepted findings recorded in
    ``analysis-baseline.json`` are filtered out so ``--strict`` only fails
@@ -120,10 +121,10 @@ def apply_suppressions(
     was actually analyzed).
 
     ``active_rules`` is the set of rules that actually ran. A suppression
-    whose codes are all *inactive* (e.g. ``noqa[RG204]`` on a run with the
-    shapes pass skipped) is neither used nor stale — flagging it as RG100
-    would punish partial runs for markers a full run needs. ``None`` means
-    every rule ran (the historical behaviour).
+    whose codes are all *inactive* (e.g. ``noqa[RG301]`` on a run with the
+    concurrency pass skipped) is neither used nor stale — flagging it as
+    RG100 would punish partial runs for markers a full run needs. ``None``
+    means every rule ran (the historical behaviour).
     """
     suppressions: dict[tuple[str, int], Suppression] = {}
     for path, source in sources.items():
@@ -217,7 +218,7 @@ def write_baseline(
     ``preserved`` carries existing entries that must survive the rewrite —
     the CLI passes the entries owned by passes that did *not* run, so
     ``repro analyze --passes lint --write-baseline`` updates only the lint
-    entries instead of clobbering the flow/shape ones.
+    entries instead of clobbering the flow/concurrency ones.
     """
     fresh = [
         {

@@ -5,9 +5,8 @@ the seed simulation ran them as a Python loop of single-model fits. This
 module factors that choice into a *training engine*:
 
 * :class:`LoopEngine` — the reference semantics: fit each client in order,
-  one model at a time. This is the audited per-client loop
-  (``@loop_fallback``) that every other execution path must reproduce
-  bit-for-bit.
+  one model at a time. This is the per-client loop that every other
+  execution path must reproduce bit-for-bit.
 * :class:`BatchedEngine` — stacks the sampled clients' parameter vectors
   into one ``(K, ...)``-shaped model (``nn.stack_parameters``) and runs all
   local epochs as single leading-axis NumPy passes. Clients are grouped by
@@ -40,7 +39,6 @@ from itertools import groupby
 import numpy as np
 
 from .. import nn
-from ..analysis.contracts import loop_fallback
 from ..models import build_classifier
 from .client import FLClient
 from .updates import ClientUpdate
@@ -157,7 +155,6 @@ class LoopEngine(TrainingEngine):
 
     kind = "loop"
 
-    @loop_fallback
     def fit_clients(self, clients, global_weights, include_decoder, round_idx=0):
         updates, times = [], []
         for client in clients:
@@ -195,7 +192,6 @@ class BatchedEngine(TrainingEngine):
             self._shells[model_config] = shell
         return shell
 
-    @loop_fallback
     def _begin_round(self, clients, round_idx: int, spent: dict) -> None:
         for client in clients:
             t0 = time.perf_counter()
@@ -223,7 +219,6 @@ class BatchedEngine(TrainingEngine):
         for i, client in enumerate(group):
             trained[client.client_id] = (weights[i], float(losses[i]))
 
-    @loop_fallback
     def _finish_round(self, clients, trained, global_weights, include_decoder,
                       spent: dict):
         updates = []

@@ -56,7 +56,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..analysis.contracts import loop_fallback
 from ..config import FederationConfig
 from .client import FLClient
 
@@ -522,7 +521,6 @@ class VirtualClientPopulation(ClientPopulation):
     def checkout(self, ids) -> list[FLClient]:
         return [self.materialize(int(i)) for i in ids]
 
-    @loop_fallback
     def checkin(self, clients: list[FLClient]) -> None:
         # O(clients_per_round) state packing — bookkeeping, not round math.
         for client in clients:

@@ -139,7 +139,7 @@ def vector_nbytes(model_or_size: Module | int) -> int:
         size = sum(p.size for p in model_or_size.parameters())
     else:
         size = int(model_or_size)
-    return size * WIRE_BYTES_PER_PARAM  # noqa: RG006 — definition site
+    return size * WIRE_BYTES_PER_PARAM  # repro: noqa[RG006] — definition site
 
 
 def split_vector(vector: np.ndarray, shapes: list[tuple[int, ...]]) -> list[np.ndarray]:

@@ -1,6 +1,6 @@
 """Tests for the RG300 concurrency/determinism verifier.
 
-Mirror of ``test_shapes.py`` for the third abstract domain: every RG300
+Mirror of ``test_flow.py`` for the second abstract domain: every RG300
 rule has a *bad* fixture that must fire at exactly the ``# expect:``
 marked lines and a *good* twin that must analyze clean, plus unit tests
 for the runtime schedule adversary (``REPRO_CHECK_SCHEDULES=1``) and
@@ -37,7 +37,6 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
 # analyze under a synthetic fl/ path.
 SYNTHETIC_PATH = {
     "rg301": "src/repro/fl/{stem}.py",
-    "rg302": "src/repro/fl/{stem}.py",
     "rg303": "src/repro/fl/{stem}.py",
     "rg304": "src/repro/fl/{stem}.py",
     "rg305": "src/repro/fl/{stem}.py",

@@ -15,6 +15,7 @@ import re
 import pytest
 
 from repro.analysis.flow import (
+    ENGINE_RULES,
     FLOW_RULES,
     FLOW_RULE_DESCRIPTIONS,
     analyze_paths,
@@ -182,6 +183,15 @@ class TestDataflowPrecision:
         inside = analyze_source(source, path="src/repro/defenses/m.py")
         assert [f.rule for f in inside] == ["RG101"]
 
+    def test_rg105_is_package_round_logic_only(self):
+        # RG105 judges the iterating module itself: a tests/fl/ file is
+        # not round logic even though one of its path parts is `fl`.
+        source = (FIXTURES / "rg105" / "bad.py").read_text()
+        inside = analyze_source(source, path="src/repro/fl/x.py")
+        assert {f.rule for f in inside} == {"RG105"}
+        assert len(inside) == 5
+        assert analyze_source(source, path="tests/fl/test_x.py") == []
+
 
 class TestProtocolScoping:
     def test_payload_discriminator_is_not_a_message_tag(self):
@@ -269,16 +279,18 @@ class TestCheckpointScoping:
 
 class TestRealTreeIsClean:
     def test_src_tree_has_no_flow_findings(self):
-        # The engine now runs the shape domain too; the tree carries
-        # RG204 suppression markers on known per-client loops, so pipe
-        # raw findings through the suppression layer the CLI applies
-        # before reporting.
+        # The engine runs the concurrency domain too, whose audited sites
+        # carry noqa markers, so pipe raw findings through the
+        # suppression layer the CLI applies before reporting. Markers for
+        # lint rules (RG006, RG206) belong to a pass that did not run.
         from repro.analysis import reporting
 
         src = pathlib.Path(__file__).resolve().parents[2] / "src" / "repro"
         findings = analyze_paths([src])
         sources = {str(p): p.read_text() for p in sorted(src.rglob("*.py"))}
-        assert reporting.apply_suppressions(findings, sources) == []
+        assert reporting.apply_suppressions(
+            findings, sources, active_rules=ENGINE_RULES
+        ) == []
 
 
 class TestResultCache:

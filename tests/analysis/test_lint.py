@@ -1,14 +1,31 @@
 """Positive/negative fixtures for every RG lint rule."""
 
+import pathlib
+import re
 import textwrap
 
 import pytest
 
+from repro.analysis import reporting
+from repro.analysis.cli import main
+from repro.analysis.flow.project import collect_files
 from repro.analysis.lint import ALL_RULES, RULE_DESCRIPTIONS, lint_paths, lint_source
+
+FIXTURES = pathlib.Path(__file__).parent / "fixtures" / "lint"
+REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
+_EXPECT_RE = re.compile(r"#\s*expect:\s*(RG\d+)")
 
 
 def _lint(source, path="src/repro/some_module.py", **kwargs):
     return lint_source(textwrap.dedent(source), path, **kwargs)
+
+
+def _reported(source, path="src/repro/some_module.py", **kwargs):
+    """Lint findings left after the reporting pipeline's suppressions."""
+    findings = _lint(source, path, **kwargs)
+    return reporting.apply_suppressions(
+        findings, {path: textwrap.dedent(source)}
+    )
 
 
 def _rules(findings):
@@ -307,9 +324,10 @@ class TestRG006WireByteArithmetic:
         assert _lint(source, path="src/repro/fl/server.py", rules=["RG006"]) == []
 
     def test_noqa_suppresses_definition_site(self):
-        source = "n = size * WIRE_BYTES_PER_PARAM  # noqa: RG006\n"
-        assert _lint(source, path="src/repro/nn/serialization.py",
-                     rules=["RG006"]) == []
+        source = "n = size * WIRE_BYTES_PER_PARAM  # repro: noqa[RG006]\n"
+        path = "src/repro/nn/serialization.py"
+        assert _rules(_lint(source, path=path, rules=["RG006"])) == ["RG006"]
+        assert _reported(source, path=path, rules=["RG006"]) == []
 
 
 class TestRG007WallClockInRoundLogic:
@@ -345,22 +363,63 @@ class TestRG007WallClockInRoundLogic:
                      rules=["RG007"]) == []
 
     def test_noqa_suppresses(self):
-        source = "import time\nstart = time.time()  # noqa: RG007\n"
-        assert _lint(source, path="src/repro/fl/server.py", rules=["RG007"]) == []
+        source = "import time\nstart = time.time()  # repro: noqa[RG007]\n"
+        assert _reported(source, path="src/repro/fl/server.py",
+                         rules=["RG007"]) == []
+
+
+def _twin(stem):
+    source = (FIXTURES / "rg206" / f"{stem}.py").read_text()
+    return source, lint_source(source, "src/repro/fl/x.py", rules=["RG206"])
+
+
+class TestRG206EagerEnumeration:
+    def test_bad_twin_fires_at_expected_lines(self):
+        source, findings = _twin("bad")
+        expected = sorted(
+            (m.group(1), lineno)
+            for lineno, text in enumerate(source.splitlines(), start=1)
+            for m in _EXPECT_RE.finditer(text)
+        )
+        assert len(expected) == 4
+        assert sorted((f.rule, f.line) for f in findings) == expected
+
+    def test_good_twin_is_clean(self):
+        assert _twin("good")[1] == []
+
+    def test_population_module_is_exempt(self):
+        source = (FIXTURES / "rg206" / "bad.py").read_text()
+        assert lint_source(source, "src/repro/fl/population.py",
+                           rules=["RG206"]) == []
+
+    def test_package_source_only(self, tmp_path, capsys):
+        # Tests legitimately enumerate small federations: the CLI lints
+        # the tests/ tree without RG206, as it does without RG005/RG006.
+        target = tmp_path / "tests" / "fl" / "test_x.py"
+        target.parent.mkdir(parents=True)
+        target.write_text((FIXTURES / "rg206" / "bad.py").read_text())
+        argv = ["--passes", "lint", "--rules", "RG206", str(target)]
+        assert main(argv) == 0
+        assert "static: 0 finding(s)" in capsys.readouterr().out
 
 
 class TestNoqaAndDriver:
     def test_specific_noqa_suppresses(self):
-        source = "import numpy as np\nx = np.random.rand(3)  # noqa: RG001\n"
-        assert _lint(source) == []
+        source = "import numpy as np\nx = np.random.rand(3)  # repro: noqa[RG001]\n"
+        assert _reported(source) == []
 
-    def test_bare_noqa_suppresses(self):
-        source = "import numpy as np\nx = np.random.rand(3)  # noqa\n"
-        assert _lint(source) == []
+    def test_bare_noqa_does_not_suppress(self):
+        # The audited `# repro: noqa[...]` is the only suppression: a bare
+        # or classic `# noqa` hides no RG finding, in lint or reporting.
+        for comment in ("# noqa", "# noqa: RG001"):
+            source = f"import numpy as np\nx = np.random.rand(3)  {comment}\n"
+            assert _rules(_lint(source)) == ["RG001"]
+            assert _rules(_reported(source)) == ["RG001"]
 
     def test_mismatched_noqa_does_not_suppress(self):
-        source = "import numpy as np\nx = np.random.rand(3)  # noqa: RG005\n"
-        assert _rules(_lint(source)) == ["RG001"]
+        source = "import numpy as np\nx = np.random.rand(3)  # repro: noqa[RG005]\n"
+        # RG001 survives, and the unused RG005 marker is reported stale.
+        assert _rules(_reported(source)) == ["RG001", "RG100"]
 
     def test_syntax_error_becomes_rg000(self):
         findings = _lint("def broken(:\n")
@@ -392,26 +451,31 @@ class TestNoqaAndDriver:
         assert rest.strip().startswith("RG001")
 
 
+def _suppressed(findings, trees, rules):
+    """Findings left after the audited suppressions, as the CLI reports."""
+    sources = {str(f): f.read_text() for f, _root in collect_files(trees)}
+    return reporting.apply_suppressions(findings, sources, active_rules=rules)
+
+
 class TestRepoIsClean:
     def test_src_tree_has_no_findings(self):
-        import repro
-
-        pkg_dir = __import__("pathlib").Path(repro.__file__).parent
-        findings = lint_paths([pkg_dir])
+        # The raw lint output carries the audited `# repro: noqa[...]`
+        # sites (RG006's definition site, RG206's partition schemes);
+        # the reporting pipeline must consume every one of them.
+        pkg_dir = REPO_ROOT / "src" / "repro"
+        findings = _suppressed(lint_paths([pkg_dir]), [pkg_dir], ALL_RULES)
         assert findings == [], "\n".join(f.format() for f in findings)
 
     def test_out_of_src_trees_are_clean_under_scoped_rules(self):
         # benchmarks/, examples/ and tests/ are linted with the src-only
-        # rules (RG005 narrow dtypes, RG006 wire-byte math) removed.
-        import pathlib
-
-        repo = pathlib.Path(__file__).resolve().parents[2]
+        # rules (RG005 narrow dtypes, RG006 wire-byte math, RG206 eager
+        # enumeration) removed.
         trees = [
-            repo / name for name in ("benchmarks", "examples", "tests")
-            if (repo / name).is_dir()
+            REPO_ROOT / name for name in ("benchmarks", "examples", "tests")
+            if (REPO_ROOT / name).is_dir()
         ]
-        scoped = sorted(ALL_RULES - {"RG005", "RG006"})
-        findings = lint_paths(trees, rules=scoped)
+        scoped = ALL_RULES - {"RG005", "RG006", "RG206"}
+        findings = _suppressed(lint_paths(trees, rules=scoped), trees, scoped)
         assert findings == [], "\n".join(f.format() for f in findings)
 
 

@@ -62,17 +62,17 @@ class TestSuppressions:
         assert out == []
 
     def test_inactive_rule_suppression_is_not_stale(self):
-        # A `noqa[RG204]` marker on a run where the shapes pass was
+        # A `noqa[RG301]` marker on a run where the concurrency pass was
         # skipped is neither used nor stale: flagging it as RG100 would
         # punish partial runs for markers a full run needs.
-        source = "for u in updates:  # repro: noqa[RG204]\n    u.fit()\n"
+        source = "self.cache = build()  # repro: noqa[RG301]\n"
         out = reporting.apply_suppressions(
             [], {"m.py": source}, active_rules={"RG101", "RG105"}
         )
         assert out == []
-        # The same marker on a run that *did* execute RG204 is stale.
+        # The same marker on a run that *did* execute RG301 is stale.
         out = reporting.apply_suppressions(
-            [], {"m.py": source}, active_rules={"RG204"}
+            [], {"m.py": source}, active_rules={"RG301"}
         )
         assert [o.rule for o in out] == ["RG100"]
 
@@ -118,20 +118,22 @@ class TestBaseline:
         source = "a = 1\nb = unseeded()\n"
         baseline_path = tmp_path / "baseline.json"
         flow = _finding(rule="RG101", line=2)
-        shape = _finding(rule="RG202", line=1)
-        reporting.write_baseline([flow, shape], {"m.py": source}, baseline_path)
+        concurrency = _finding(rule="RG301", line=1)
+        reporting.write_baseline(
+            [flow, concurrency], {"m.py": source}, baseline_path
+        )
         kept = [
             e for e in reporting.load_baseline(baseline_path).entries.values()
-            if e["rule"] == "RG202"
+            if e["rule"] == "RG301"
         ]
         # A partial rewrite (only the flow finding re-observed) carries
-        # the shape entry forward instead of clobbering it.
+        # the concurrency entry forward instead of clobbering it.
         reporting.write_baseline(
             [flow], {"m.py": source}, baseline_path, preserved=kept
         )
         baseline = reporting.load_baseline(baseline_path)
         assert {e["rule"] for e in baseline.entries.values()} == {
-            "RG101", "RG202",
+            "RG101", "RG301",
         }
 
 
@@ -235,10 +237,27 @@ class TestCliExitCodes:
         assert doc["runs"][0]["results"]
 
 
+# One lint finding (RG001) and one flow finding (RG104: a checkpoint
+# key written but never restored).
+_LINT_AND_FLOW = (
+    "import numpy as np\n"
+    "Y = np.random.rand(3)\n"
+    "def federation_state(s):\n"
+    "    return {'a': 1}\n"
+    "def restore_federation(state):\n"
+    "    return state['b']\n"
+)
+
+
 class TestPassSelection:
     def _clean_file(self, tmp_path):
         p = tmp_path / "clean.py"
         p.write_text("x = 1\n")
+        return p
+
+    def _mixed_file(self, tmp_path):
+        p = tmp_path / "m.py"
+        p.write_text(_LINT_AND_FLOW)
         return p
 
     def test_unknown_pass_is_a_usage_error(self, tmp_path, capsys):
@@ -246,45 +265,52 @@ class TestPassSelection:
         assert main(["--passes", "shape", str(path)]) == 2
         err = capsys.readouterr().err
         assert "unknown pass(es): shape" in err
-        assert "lint, flow, shapes, concurrency, gradcheck, contracts" in err
+        assert "lint, flow, concurrency, gradcheck, contracts" in err
+
+    def test_retired_shapes_pass_is_a_usage_error(self, tmp_path, capsys):
+        path = self._clean_file(tmp_path)
+        assert main(["--passes", "shapes", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "unknown pass(es): shapes" in err
+        assert "valid passes: lint, flow, concurrency, gradcheck, contracts" in err
+
+    def test_lint_only_rules_skip_the_engine(self, tmp_path, capsys):
+        # RG206 is a lint rule: selecting it alone must not run (or
+        # cache) the whole-program engine.
+        path = self._clean_file(tmp_path)
+        cache = tmp_path / "cache"
+        argv = _STATIC[:-1] + ["--rules", "RG206", "--cache-dir", str(cache),
+                               "--stats", str(path)]
+        assert main(argv) == 0
+        assert "engine cache: off" in capsys.readouterr().out
+        assert not list(cache.glob("*.json"))
 
     def test_passes_selects_positively(self, tmp_path, capsys):
-        # A shapes-only run on an un-dtyped hot-path allocator fires
-        # RG202 but not the lint rules.
-        target = tmp_path / "fl" / "m.py"
-        target.parent.mkdir()
-        target.write_text(
-            "import numpy as np\nX = np.zeros(3)\nY = np.random.rand(3)\n"
-        )
-        assert main(["--passes", "shapes", "--no-cache", str(target)]) == 1
+        # A flow-only run fires RG104 but not the lint rules.
+        target = self._mixed_file(tmp_path)
+        assert main(["--passes", "flow", "--no-cache", str(target)]) == 1
         out = capsys.readouterr().out
-        assert "RG202" in out and "RG001" not in out
+        assert "RG104" in out and "RG001" not in out
 
     def test_skip_still_subtracts(self, tmp_path, capsys):
-        target = tmp_path / "fl" / "m.py"
-        target.parent.mkdir()
-        target.write_text("import numpy as np\nX = np.zeros(3)\n")
-        argv = ["--passes", "shapes", "--skip", "shapes", "--no-cache",
+        target = self._mixed_file(tmp_path)
+        argv = ["--passes", "flow", "--skip", "flow", "--no-cache",
                 str(target)]
         assert main(argv) == 0
 
     def test_partial_write_baseline_preserves_other_passes(self, tmp_path, capsys):
-        # One file with both a lint finding (RG001) and a shape finding
-        # (RG202); baselining passes separately must not clobber.
-        target = tmp_path / "fl" / "m.py"
-        target.parent.mkdir()
-        target.write_text(
-            "import numpy as np\nX = np.zeros(3)\nY = np.random.rand(3)\n"
-        )
+        # One file with both a lint finding (RG001) and a flow finding
+        # (RG104); baselining passes separately must not clobber.
+        target = self._mixed_file(tmp_path)
         baseline = tmp_path / "baseline.json"
         base = ["--no-cache", "--baseline", str(baseline), str(target)]
-        assert main(["--passes", "shapes", "--write-baseline"] + base) == 0
+        assert main(["--passes", "flow", "--write-baseline"] + base) == 0
         assert main(["--passes", "lint", "--write-baseline"] + base) == 0
         rules = {
             e["rule"]
             for e in json.loads(baseline.read_text())["findings"]
         }
-        assert rules == {"RG001", "RG202"}
+        assert rules == {"RG001", "RG104"}
         # With both entries accepted, the full static run is clean.
         capsys.readouterr()
         assert main(_STATIC + base) == 0
@@ -306,8 +332,8 @@ class TestStats:
         # The lint pass owns RG001; every other selected pass is zero.
         assert "lint=1" in out
         assert "flow=0" in out
-        assert "shapes=0" in out
         assert "concurrency=0" in out
+        assert "shapes" not in out
         assert "engine cache: off" in out
         assert "1 file(s)" in out
 
