@@ -1,11 +1,4 @@
-"""Unit tests for the runtime contract decorators, verify_aggregate and
-the runtime shape oracle (``REPRO_RECORD_SHAPES=1``)."""
-
-import json
-import os
-import pathlib
-import subprocess
-import sys
+"""Unit tests for the runtime contract decorators and verify_aggregate."""
 
 import numpy as np
 import pytest
@@ -14,17 +7,11 @@ from repro.analysis.contracts import (
     ContractViolation,
     aggregate_contract,
     array_contract,
-    clear_shape_observations,
     contracts_enabled,
-    record_shapes,
-    shape_observations,
-    shape_oracle_report,
     verify_aggregate,
 )
 from repro.fl.strategy import AggregationResult, Strategy
 from repro.fl.updates import ClientUpdate
-
-REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
 
 
 def _updates(n=4, dim=6, seed=0):
@@ -229,99 +216,3 @@ class TestDecoratedDefenses:
 
         x = np.linspace(-1, 1, 12).reshape(3, 4)
         np.testing.assert_allclose(F.softmax(x).sum(axis=-1), 1.0)
-
-
-@pytest.fixture()
-def clean_shape_log():
-    clear_shape_observations()
-    yield
-    clear_shape_observations()
-
-
-class TestShapeOracle:
-    def test_round_trip_records_observation(self, clean_shape_log):
-        @record_shapes
-        def normalize(x):
-            return x / x.sum(axis=1, keepdims=True)
-
-        x = np.ones((4, 3), dtype=np.float64)
-        normalize(x)
-        (obs,) = shape_observations()
-        assert obs.qualname.endswith("normalize")
-        assert obs.arg_shapes == ((4, 3),)
-        assert obs.arg_dtypes == ("float64",)
-        assert obs.out_shape == (4, 3)
-        report = shape_oracle_report()
-        assert report["observations"] == 1
-        assert report["disagreements"] == []
-
-    def test_dropped_leading_axis_is_a_disagreement(self, clean_shape_log):
-        @record_shapes
-        def collapse(x):
-            return x.mean(axis=0)
-
-        collapse(np.ones((4, 3), dtype=np.float64))
-        report = shape_oracle_report()
-        assert len(report["disagreements"]) == 1
-        assert "leading" in report["disagreements"][0]
-
-    def test_f32_to_f64_widening_is_a_disagreement(self, clean_shape_log):
-        @record_shapes
-        def widen(x):
-            return x + np.float64(1.0)
-
-        widen(np.ones((2, 2), dtype=np.float32))
-        report = shape_oracle_report()
-        assert len(report["disagreements"]) == 1
-        assert "float64" in report["disagreements"][0]
-
-    def test_oracle_smoke_federation_has_zero_disagreements(self, tmp_path):
-        # REPRO_RECORD_SHAPES is read at import time (so the decorator is
-        # zero-overhead when off), hence the subprocess: a tiny federation
-        # runs with recording on and every @client_batched call must keep
-        # its declared invariants.
-        script = (
-            "import json\n"
-            "from repro.analysis.contracts import (shape_oracle_report,\n"
-            "                                      shape_recording_enabled)\n"
-            "assert shape_recording_enabled()\n"
-            "from repro.config import FederationConfig\n"
-            "from repro.attacks.scenario import no_attack\n"
-            "from repro.fl import run_federation\n"
-            "from repro.defenses.fedavg import FedAvg\n"
-            "run_federation(FederationConfig.tiny(), FedAvg(), no_attack())\n"
-            "print(json.dumps(shape_oracle_report()))\n"
-        )
-        env = dict(os.environ)
-        env["REPRO_RECORD_SHAPES"] = "1"
-        env["PYTHONPATH"] = str(REPO_ROOT / "src")
-        proc = subprocess.run(
-            [sys.executable, "-c", script],
-            capture_output=True, text=True, env=env, cwd=tmp_path,
-        )
-        assert proc.returncode == 0, proc.stderr
-        report = json.loads(proc.stdout.splitlines()[-1])
-        assert report["observations"] > 0
-        assert report["disagreements"] == []
-
-
-class TestDtypeDiscipline:
-    """Hot-path allocations that once took NumPy's default dtype are
-    pinned to float64 end to end."""
-
-    def test_reputation_sampler_is_float64(self):
-        from repro.fl.sampling import ReputationSampler
-
-        sampler = ReputationSampler()
-        rep = sampler.reputation(5)
-        assert rep.dtype == np.float64
-        chosen = sampler.sample(5, 3, np.random.default_rng(0))
-        assert chosen.size == 3
-        assert sampler.reputation(5).dtype == np.float64
-
-    def test_geometric_median_default_weights_are_float64(self):
-        from repro.defenses.geomed import geometric_median
-
-        pts = np.arange(12, dtype=np.float64).reshape(4, 3)
-        out = geometric_median(pts)
-        assert out.dtype == np.float64
