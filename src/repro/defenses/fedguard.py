@@ -23,14 +23,6 @@ Design knobs beyond the paper's defaults, all called out in its
   uniform Cat(L, 1/L);
 * ``inner_aggregator`` — the internal aggregation operator applied to the
   accepted updates (future-work §VI-C suggests GeoMed/FedProx here);
-* ``cache_synthesis`` — freeze the validation seed ``([z_t], [y_t])`` at
-  its first draw and cache each decoder's synthesized samples per
-  :attr:`~repro.fl.updates.ClientUpdate.decoder_version`. Decoders are
-  trained once (paper footnote 5), so from round 2 on the whole synthesis
-  step is a cache lookup (surfaced as ``audit_cache_hits``); a decoder
-  retrain (dynamic-data CVAE refresh) bumps its version and re-synthesizes
-  from the same frozen seed. ``False`` restores Alg. 1's literal
-  fresh-per-round sampling;
 * the server learning rate lives in the *server* (Fig. 5), not here.
 
 Both the multi-decoder synthesis and the per-update audit run on
@@ -90,17 +82,12 @@ class FedGuard(Strategy):
         advertise the classes their CVAE was trained on, and the server
         conditions each decoder only on classes it actually knows. Off by
         default (the paper's evaluated configuration).
-    cache_synthesis:
-        Freeze the validation seed ``(z, y)`` at its first draw and reuse
-        each decoder's synthesized samples while its
-        ``decoder_version`` is unchanged (default). Cached samples are
-        bit-identical to re-synthesizing from the frozen seed, so cached
-        and uncached audits score identically; set False for Alg. 1's
-        literal fresh-per-round sampling.
     """
 
     name = "fedguard"
     needs_decoder = True
+    # Always 0: benchmarks/e2e/spans.py reads it after every traced synthesize.
+    last_cache_hits = 0
 
     def __init__(
         self,
@@ -110,7 +97,6 @@ class FedGuard(Strategy):
         inner_aggregator: Callable[[list[ClientUpdate]], np.ndarray] | None = None,
         balanced: bool = True,
         class_aware: bool = False,
-        cache_synthesis: bool = True,
     ) -> None:
         if samples_per_decoder is not None and samples_per_decoder <= 0:
             raise ValueError(
@@ -128,14 +114,6 @@ class FedGuard(Strategy):
         self.inner_aggregator = inner_aggregator or weighted_average
         self.balanced = balanced
         self.class_aware = class_aware
-        self.cache_synthesis = cache_synthesis
-        # Frozen validation seed (z, y) and per-client synthesized samples,
-        # keyed by client id → (decoder_version, features, labels). Both
-        # travel with the pickled strategy, so checkpoint/resume replays
-        # the same validation set.
-        self._frozen_seed: tuple[np.ndarray, np.ndarray] | None = None
-        self._sample_cache: dict[int, tuple[int, np.ndarray, np.ndarray]] = {}
-        self.last_cache_hits = 0
 
     # -- Alg. 1 lines 2-3: the validation seed -------------------------------
     def _draw_seed(self, context: ServerContext) -> tuple[np.ndarray, np.ndarray]:
@@ -183,23 +161,32 @@ class FedGuard(Strategy):
                 )
         return labels
 
-    def _synthesize_stacked(
-        self, sources: list[ClientUpdate], z: np.ndarray,
-        labels: np.ndarray, context: ServerContext,
+    # -- Alg. 1 lines 2-4: controllable synthesis ---------------------------
+    def synthesize(
+        self, updates: list[ClientUpdate], context: ServerContext
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Decode the shared z through every source decoder in one pass.
+        """Build the round's synthetic validation set (features, labels).
 
-        Returns ``(features, labels)`` of shapes ``(K, t, image_dim)`` and
-        ``(K, t)`` — each slice bit-identical to that decoder's own 2-D
-        ``generate(labels, rng, z=z)``.
+        Draws a fresh ``(z, y)`` and decodes it through every source
+        decoder in one stacked pass. Returns shapes ``(K·t, image_dim)`` and
+        ``(K·t,)``, decoder by decoder — each block bit-identical to that
+        decoder's own 2-D ``generate(labels, rng, z=z)``.
         """
+        rng = context.rng
+        z, labels = self._draw_seed(context)
+        sources = [u for u in updates if u.decoder_weights is not None]
+        if not sources:
+            raise RuntimeError(
+                "FedGuard received no decoders; clients must upload θ_j "
+                "(strategy.needs_decoder is True)"
+            )
+        if self.decoder_subset is not None and self.decoder_subset < len(sources):
+            chosen = rng.choice(len(sources), size=self.decoder_subset, replace=False)
+            sources = [sources[i] for i in chosen]
+
         decoder = context.make_decoder()
-        per_decoder = np.stack(
-            [self._decoder_labels(u, labels, context.rng) for u in sources]
-        )
-        nn.stack_parameters(
-            np.stack([u.decoder_weights for u in sources]), decoder
-        )
+        per_decoder = np.stack([self._decoder_labels(u, labels, rng) for u in sources])
+        nn.stack_parameters(np.stack([u.decoder_weights for u in sources]), decoder)
         # Every decoder gets the identical z (and, unless remapped, the
         # identical y) — the map() of Alg. 1 line 4 — so clients are
         # audited on comparable samples.
@@ -212,53 +199,7 @@ class FedGuard(Strategy):
             if decoder.out_dim > decoder.num_classes
             else decoder.out_dim
         )
-        return out[..., :image_dim], per_decoder
-
-    # -- Alg. 1 lines 2-4: controllable synthesis ---------------------------
-    def synthesize(
-        self, updates: list[ClientUpdate], context: ServerContext
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Build the round's synthetic validation set (features, labels)."""
-        rng = context.rng
-        self.last_cache_hits = 0
-        if self.cache_synthesis:
-            if self._frozen_seed is None:
-                self._frozen_seed = self._draw_seed(context)
-            z, labels = self._frozen_seed
-        else:
-            z, labels = self._draw_seed(context)
-
-        sources = [u for u in updates if u.decoder_weights is not None]
-        if not sources:
-            raise RuntimeError(
-                "FedGuard received no decoders; clients must upload θ_j "
-                "(strategy.needs_decoder is True)"
-            )
-        if self.decoder_subset is not None and self.decoder_subset < len(sources):
-            chosen = rng.choice(len(sources), size=self.decoder_subset, replace=False)
-            sources = [sources[i] for i in chosen]
-
-        cache = self._sample_cache
-        if self.cache_synthesis:
-            missing = [
-                u for u in sources
-                if cache.get(u.client_id, (None,))[0] != u.decoder_version
-            ]
-            self.last_cache_hits = len(sources) - len(missing)
-        else:
-            cache = {}
-            missing = sources
-        if missing:
-            fresh_x, fresh_y = self._synthesize_stacked(missing, z, labels, context)
-            for i, update in enumerate(missing):
-                cache[update.client_id] = (
-                    update.decoder_version, fresh_x[i], fresh_y[i]
-                )
-        entries = [cache[u.client_id] for u in sources]
-        return (
-            np.concatenate([entry[1] for entry in entries]),
-            np.concatenate([entry[2] for entry in entries]),
-        )
+        return out[..., :image_dim].reshape(-1, image_dim), per_decoder.reshape(-1)
 
     # -- Alg. 1 lines 5-7: score and select ------------------------------------
     @aggregate_contract
@@ -303,7 +244,6 @@ class FedGuard(Strategy):
                 "audit_acc_mean": float(mean_acc),
                 "audit_acc_min": float(accuracies.min()),
                 "audit_acc_max": float(accuracies.max()),
-                "audit_cache_hits": self.last_cache_hits,
                 "audit_time_s": audit_time_s,
             },
         )

@@ -25,7 +25,7 @@ __all__ = ["history_to_dict", "history_from_dict", "save_history", "load_history
            "save_matrix", "load_matrix", "save_manifest", "load_manifest",
            "save_checkpoint", "load_checkpoint"]
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 def history_to_dict(history: History) -> dict:
@@ -85,11 +85,9 @@ def history_from_dict(data: dict) -> History:
             download_nbytes=r["download_nbytes"],
             duration_s=r["duration_s"],
             metrics=r.get("metrics", {}),
-            # Pre-transport records carry neither selection-vs-delivery
-            # distinction nor drop counters; default to lossless.
-            selected_ids=r.get("selected_ids", []),
-            broadcasts_dropped=r.get("broadcasts_dropped", 0),
-            submits_dropped=r.get("submits_dropped", 0),
+            selected_ids=r["selected_ids"],
+            broadcasts_dropped=r["broadcasts_dropped"],
+            submits_dropped=r["submits_dropped"],
         ))
     return history
 

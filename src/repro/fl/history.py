@@ -19,9 +19,11 @@ class RoundRecord:
     """Everything measured in one federated round.
 
     ``sampled_ids`` are the clients whose updates actually reached
-    aggregation; ``selected_ids`` are everyone the sampler chose. With the
-    default lossless transport the two coincide, and the drop counters are
-    zero; a lossy channel opens a gap between them (dropout / stragglers).
+    aggregation; ``selected_ids`` are everyone the round dispatched. With the
+    default lossless transport a sync round's two lists coincide, and the
+    drop counters are zero; a lossy channel opens a gap between them
+    (dropout / stragglers). An async flush fed only by earlier windows'
+    arrivals dispatched nobody, so its ``selected_ids`` stay empty.
     """
 
     round_idx: int
@@ -38,12 +40,6 @@ class RoundRecord:
     selected_ids: list[int] = field(default_factory=list)
     broadcasts_dropped: int = 0
     submits_dropped: int = 0
-
-    def __post_init__(self) -> None:
-        if not self.selected_ids:
-            # Lossless rounds (and pre-transport persisted records) never
-            # distinguish selection from delivery.
-            self.selected_ids = list(self.sampled_ids)
 
     @property
     def delivered_updates(self) -> int:
@@ -109,26 +105,6 @@ class History:
         }
 
     # -- transport quality ------------------------------------------------------
-    @staticmethod
-    def _n_selected(record: RoundRecord) -> int:
-        """Participants selected in a round, robust to legacy records.
-
-        Live records always carry ``selected_ids``. Persisted pre-transport
-        records don't — and for a round where *every* broadcast dropped,
-        ``selected_ids`` defaults to a copy of the (empty) ``sampled_ids``,
-        which used to make the round's selections vanish from the summary
-        (overstating the delivery rate). The selection count is then
-        reconstructed from the drop counters: everyone selected either
-        delivered or was dropped on one of the two directions.
-        """
-        if record.selected_ids:
-            return len(record.selected_ids)
-        return (
-            len(record.sampled_ids)
-            + record.broadcasts_dropped
-            + record.submits_dropped
-        )
-
     def delivery_summary(self) -> dict:
         """Aggregate transport reliability across rounds.
 
@@ -147,7 +123,7 @@ class History:
         """
         if not self.rounds:
             raise ValueError("history is empty")
-        selected = sum(self._n_selected(r) for r in self.rounds)
+        selected = sum(len(r.selected_ids) for r in self.rounds)
         delivered = sum(r.delivered_updates for r in self.rounds)
         flushes = [r for r in self.rounds if r.metrics.get("buffer_flush")]
         return {
@@ -159,12 +135,12 @@ class History:
             "empty_rounds": sum(
                 1
                 for r in self.rounds
-                if self._n_selected(r) and not r.sampled_ids
+                if r.selected_ids and not r.sampled_ids
             ),
             "idle_rounds": sum(
                 1
                 for r in self.rounds
-                if not self._n_selected(r) and not r.metrics.get("buffer_flush")
+                if not r.selected_ids and not r.metrics.get("buffer_flush")
             ),
             "buffer_flushes": len(flushes),
             "stale_dropped": sum(

@@ -14,7 +14,7 @@ The :class:`~repro.fl.server.Server` owns the *phases* of federated work
   (``ψ̃_j = ψ + w(s_j)·(ψ_j − ψ)``, ``w`` pluggable via
   :data:`STALENESS_WEIGHTS`). Each flush re-runs the strategy's
   aggregation — FedGuard/PDGAN therefore recompute their audit filter
-  per flush, reusing the batched synthesis cache across flushes.
+  per flush.
 
 Arrival ordering is *entirely* simulated: events live on a seeded heap
 keyed by simulated time (channel latencies, fault-plan delays, retry

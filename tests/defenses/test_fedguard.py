@@ -124,6 +124,15 @@ class TestSynthesize:
         x, _ = guard.synthesize(make_updates(guard_env, 1, 0), guard_env["context"])
         assert (x >= 0).all() and (x <= 1).all()
 
+    def test_each_round_draws_a_fresh_validation_set(self, guard_env):
+        """Alg. 1 lines 2-3: the server samples new (z, y) every round."""
+        guard = FedGuard()
+        updates = make_updates(guard_env, 2, 0)
+        first, _ = guard.synthesize(updates, guard_env["context"])
+        second, _ = guard.synthesize(updates, guard_env["context"])
+        assert first.shape == second.shape
+        assert not np.array_equal(first, second)
+
 
 class TestSelection:
     @pytest.mark.parametrize("bad_kind", ["sign", "ones", "noise"])

@@ -1,10 +1,8 @@
-"""Batched training engine: loop equivalence and FedGuard audit caching.
+"""Batched training engine: input validation and loop equivalence.
 
 These pin the engine-level guarantees end to end: ``engine="batched"``
 reproduces ``engine="loop"`` histories bit-for-bit across ragged client
-groups, optimizer variants, and the worker-resident process pool; and the
-FedGuard synthesized-validation-set cache returns byte-identical audit
-data to re-synthesizing from the frozen seed every round.
+groups, optimizer variants, and the worker-resident process pool.
 """
 
 import numpy as np
@@ -12,12 +10,8 @@ import pytest
 
 from repro.config import FederationConfig, ModelConfig
 from repro.data.dataset import Dataset
-from repro.defenses import FedGuard
 from repro.experiments import run_cell
-from repro.experiments.scenarios import (
-    STRATEGY_FACTORIES,
-    make_scenario,
-)
+from repro.experiments.scenarios import STRATEGY_FACTORIES
 from repro.experiments.storage import history_to_dict
 from repro.fl.batched import (
     BatchedEngine,
@@ -25,22 +19,18 @@ from repro.fl.batched import (
     make_engine,
     train_classifiers_batched,
 )
-from repro.fl.simulation import build_federation, run_federation
+from repro.fl.simulation import build_federation
 from repro.models import build_classifier
 from repro import nn
 
 
-def normalized(history, drop_metrics=()):
-    """History dict minus wall-clock noise (and any explicitly dropped metrics)."""
+def normalized(history):
+    """History dict minus wall-clock noise."""
     data = history_to_dict(history)
     rounds = []
     for r in data["rounds"]:
         r = {k: v for k, v in r.items() if k != "duration_s"}
-        r["metrics"] = {
-            k: v
-            for k, v in r["metrics"].items()
-            if not k.endswith("_s") and k not in drop_metrics
-        }
+        r["metrics"] = {k: v for k, v in r["metrics"].items() if not k.endswith("_s")}
         rounds.append(r)
     return {
         "strategy": data["strategy"],
@@ -173,55 +163,3 @@ class TestLoopEquivalence:
             for engine in ("loop", "batched")
         ]
         assert normalized(histories[0]) == normalized(histories[1])
-
-
-class FreshSynthesisFedGuard(FedGuard):
-    """Cache-defeating variant: re-synthesizes from the frozen seed every
-    round. Must be indistinguishable from the caching strategy (except for
-    the hit counter) — that equality is what makes the cache sound."""
-
-    def synthesize(self, updates, context):
-        self._sample_cache.clear()
-        return super().synthesize(updates, context)
-
-
-class TestFedGuardAuditCache:
-    def _run(self, strategy):
-        return run_federation(
-            FederationConfig.tiny(engine="batched"),
-            strategy,
-            make_scenario("label_flipping_30"),
-        )
-
-    def test_cache_hits_metric_tracks_resampled_decoders(self):
-        history = self._run(FedGuard())
-        hits = [r.metrics["audit_cache_hits"] for r in history.rounds]
-        assert hits[0] == 0  # nothing cached before the first round
-        selected = [set(r.selected_ids) for r in history.rounds]
-        assert hits[1] == len(selected[0] & selected[1])
-
-    def test_cached_samples_equal_fresh_synthesis(self):
-        cached = self._run(FedGuard())
-        fresh = self._run(FreshSynthesisFedGuard())
-        assert normalized(cached, drop_metrics=("audit_cache_hits",)) == normalized(
-            fresh, drop_metrics=("audit_cache_hits",)
-        )
-        assert all(
-            r.metrics["audit_cache_hits"] == 0 for r in fresh.rounds
-        )
-
-    def test_cache_off_still_supported(self):
-        # cache_synthesis=False redraws the validation set every round (the
-        # pre-cache behavior); round 1 is identical either way because the
-        # frozen seed *is* the round-1 draw.
-        on = normalized(self._run(FedGuard()))
-        off = normalized(
-            self._run(FedGuard(cache_synthesis=False)),
-            drop_metrics=("audit_cache_hits",),
-        )
-        on_r1 = {
-            k: v
-            for k, v in on["rounds"][0]["metrics"].items()
-            if k != "audit_cache_hits"
-        }
-        assert on_r1 == off["rounds"][0]["metrics"]

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.config import FederationConfig
+from repro.experiments import run_cell
 from repro.fl.history import History, RoundRecord
 
 
@@ -15,6 +17,7 @@ def record(i, acc, sampled=4, rejected=1, mal_sampled=2, mal_accepted=1,
         rejected_ids=sampled_ids[sampled - rejected:],
         malicious_sampled=mal_sampled, malicious_accepted=mal_accepted,
         upload_nbytes=up, download_nbytes=down, duration_s=secs,
+        selected_ids=sampled_ids,
     )
 
 
@@ -130,28 +133,6 @@ class TestDeliverySummary:
         assert summary["delivery_rate"] == 0.5
         assert summary["submits_dropped"] == 2
 
-    def test_fully_dropped_round_counts_its_selections(self):
-        """A legacy record where every broadcast dropped: ``selected_ids``
-        defaulted to a copy of the empty ``sampled_ids``, so the round's
-        selections used to vanish from the denominator (rate overstated).
-        The count is reconstructed from the drop counters instead."""
-        legacy = RoundRecord(
-            round_idx=1, accuracy=0.5, sampled_ids=[],
-            accepted_ids=[], rejected_ids=[],
-            malicious_sampled=0, malicious_accepted=0,
-            upload_nbytes=0, download_nbytes=0, duration_s=0.1,
-            broadcasts_dropped=3, submits_dropped=1,
-        )
-        assert legacy.selected_ids == []  # the legacy ambiguity
-        h = History("s", "sc")
-        h.append(lossy_record(1, selected=4, delivered=4))
-        h.append(legacy)
-        summary = h.delivery_summary()
-        assert summary["selected"] == 8
-        assert summary["delivered"] == 4
-        assert summary["delivery_rate"] == 0.5
-        assert summary["empty_rounds"] == 1
-
     def test_empty_vs_idle_rounds(self):
         """empty = selected-but-nothing-arrived (transport failure);
         idle = nothing selected at all (not a transport failure)."""
@@ -213,6 +194,20 @@ class TestDeliverySummaryAsync:
         h.append(flush_record(1, sampled=3))
         summary = h.delivery_summary()
         assert summary["buffer_flushes"] == 1
+        assert summary["idle_rounds"] == 0
+
+    def test_flush_of_earlier_arrivals_selects_nobody(self):
+        """A flush fed only by an earlier window's arrival dispatched no
+        client of its own; its record must not claim the arrival's client
+        as selected, or the delivery rate undercounts."""
+        config = FederationConfig.tiny(
+            server_mode="async", buffer_size=1, async_concurrency=2, rounds=4
+        )
+        history = run_cell(config, "fedavg", "no_attack")
+        assert [r.selected_ids for r in history.rounds][1::2] == [[], []]
+        summary = history.delivery_summary()
+        assert summary["selected"] == summary["delivered"] == 4
+        assert summary["delivery_rate"] == 1.0
         assert summary["idle_rounds"] == 0
 
     def test_stale_dropped_sums_across_flushes(self):

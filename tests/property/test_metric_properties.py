@@ -81,10 +81,15 @@ class TestRocProperties:
 
 
 class TestCosineMatrixProperties:
+    # Subnormal entries are excluded: scaling [[0, 0], [0, 5e-324]] by 0.5
+    # underflows its second row to zero, which no cosine survives.
     matrices = st.integers(2, 6).flatmap(
         lambda n: st.integers(2, 8).flatmap(
             lambda d: st.lists(
-                st.lists(st.floats(-5, 5, allow_nan=False), min_size=d, max_size=d),
+                st.lists(
+                    st.floats(-5, 5, allow_nan=False, allow_subnormal=False),
+                    min_size=d, max_size=d,
+                ),
                 min_size=n, max_size=n,
             )
         )
