@@ -57,7 +57,9 @@ class DirectedDeviationAttack(ModelPoisoningAttack):
     def bind_global(self, global_weights: np.ndarray) -> None:
         """Give the attacker the round's global model (threat model TM-2:
         'the federated model is visible to all parties')."""
-        global_weights = np.asarray(global_weights, dtype=np.float64)
+        # A private copy: the server updates ψ in place, and an alias would
+        # equal the next round's ψ and never start a new direction.
+        global_weights = np.array(global_weights, dtype=np.float64)
         if self._global is None or not np.array_equal(self._global, global_weights):
             # New round: the colluders re-estimate the benign direction.
             self._shared_direction = None

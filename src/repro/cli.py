@@ -88,14 +88,6 @@ def _add_config_args(parser: argparse.ArgumentParser) -> None:
                              "stacks all sampled clients into one leading-axis "
                              "pass — bit-identical histories, fewer Python "
                              "dispatches)")
-    parser.add_argument("--population-store", choices=["ram", "mmap"],
-                        default=None,
-                        help="lazy population: packed per-client state backing "
-                             "(default: ram; 'mmap' spills to a memory-mapped "
-                             "file)")
-    parser.add_argument("--resident-cap", type=int, default=None,
-                        help="process backend: LRU cap on clients kept resident "
-                             "per worker pool (0 = unbounded)")
     parser.add_argument("--partition", choices=["dirichlet", "iid",
                                                 "pathological", "virtual"],
                         default=None,
@@ -170,10 +162,6 @@ def _config_from_args(args) -> FederationConfig:
         overrides.setdefault("backend", "process")
     if getattr(args, "engine", None) is not None:
         overrides["engine"] = args.engine
-    if getattr(args, "population_store", None) is not None:
-        overrides["population_store"] = args.population_store
-    if getattr(args, "resident_cap", None) is not None:
-        overrides["population_resident_cap"] = args.resident_cap
     if getattr(args, "partition", None) is not None:
         overrides["partition_scheme"] = args.partition
     if getattr(args, "virtual_samples", None) is not None:

@@ -104,11 +104,6 @@ class FederationConfig:
     partition_scheme: str = "dirichlet"  # "dirichlet" | "iid" | "pathological" | "virtual"
     virtual_samples_per_client: int = 0  # "virtual" scheme draw count (0 = pool/n)
 
-    # client registry (repro.fl.population: clients derive on demand from
-    # index-keyed seeds, O(clients_per_round) memory instead of O(n_clients))
-    population_store: str = "ram"       # packed-state backing: "ram" | "mmap"
-    population_resident_cap: int = 0    # LRU cap on worker-resident clients (0 = unbounded)
-
     # dynamic datasets (future work §VI-C; 0 = the paper's static setting)
     stream_samples_per_round: int = 0   # fresh samples per client per round
     stream_window: int = 0              # max retained samples (0 = unbounded)
@@ -187,16 +182,6 @@ class FederationConfig:
             raise ValueError(
                 f"virtual_samples_per_client must be >= 0, "
                 f"got {self.virtual_samples_per_client}"
-            )
-        if self.population_store not in ("ram", "mmap"):
-            raise ValueError(
-                f"unknown population store {self.population_store!r}; "
-                f"expected one of ('ram', 'mmap')"
-            )
-        if self.population_resident_cap < 0:
-            raise ValueError(
-                f"population_resident_cap must be >= 0, "
-                f"got {self.population_resident_cap}"
             )
         if self.backend not in BACKEND_KINDS:
             raise ValueError(

@@ -36,13 +36,18 @@ class ReplicationResult:
 
     @property
     def std_of_means(self) -> float:
-        """Across-seed variability of the headline number."""
-        return float(self.tail_means.std())
+        """Across-seed sample standard deviation (nan for a single seed)."""
+        if len(self.tail_means) < 2:
+            return float("nan")
+        return float(self.tail_means.std(ddof=1))
 
     def confidence_interval(self, z: float = 1.96) -> tuple[float, float]:
-        """Normal-approximation CI of the mean tail accuracy."""
+        """Normal-approximation CI of the mean tail accuracy, within [0, 1]."""
         half = z * self.std_of_means / np.sqrt(len(self.seeds))
-        return (self.mean_of_means - half, self.mean_of_means + half)
+        lo, hi = np.clip(
+            [self.mean_of_means - half, self.mean_of_means + half], 0.0, 1.0
+        )
+        return (float(lo), float(hi))
 
     def summary(self) -> str:
         lo, hi = self.confidence_interval()

@@ -130,11 +130,6 @@ class ClientRecipe:
 
     Attack identity is preserved *within* one pickled recipe batch, so
     seed-derived colluders placed on the same worker keep sharing state.
-
-    ``state`` optionally carries a ``state_dict`` payload applied after
-    construction — the resident pool attaches it when re-installing a
-    client whose worker-side state was harvested before an LRU eviction,
-    so a re-sampled evicted client resumes bit-identically.
     """
 
     client_id: int
@@ -144,32 +139,27 @@ class ClientRecipe:
     attack: Attack | None = None
     stream: object = None
     snapshot: "FLClient | None" = field(default=None, repr=False)
-    state: dict | None = field(default=None, repr=False)
 
     def build(self) -> "FLClient":
         """Materialize the client inside the current process."""
         if self.snapshot is not None:
-            client = self.snapshot
-        else:
-            from .simulation import regenerate_train_pool
+            return self.snapshot
+        from .simulation import regenerate_train_pool
 
-            pool = regenerate_train_pool(self.config)
-            dataset = pool.subset(self.partition_indices)
-            bit_generator = getattr(np.random, self.rng_state["bit_generator"])()
-            rng = np.random.Generator(bit_generator)
-            rng.bit_generator.state = self.rng_state
-            client = FLClient(
-                client_id=self.client_id,
-                dataset=dataset,
-                config=self.config,
-                rng=rng,
-                attack=self.attack,
-                stream=self.stream,
-                partition_indices=self.partition_indices,
-            )
-        if self.state is not None:
-            client.load_state_dict(self.state)
-        return client
+        pool = regenerate_train_pool(self.config)
+        dataset = pool.subset(self.partition_indices)
+        bit_generator = getattr(np.random, self.rng_state["bit_generator"])()
+        rng = np.random.Generator(bit_generator)
+        rng.bit_generator.state = self.rng_state
+        return FLClient(
+            client_id=self.client_id,
+            dataset=dataset,
+            config=self.config,
+            rng=rng,
+            attack=self.attack,
+            stream=self.stream,
+            partition_indices=self.partition_indices,
+        )
 
 
 class FLClient:

@@ -26,7 +26,9 @@ Notes for users:
   ``DirectedDeviationAttack``, marked ``runtime_collusion = True``) lose
   cross-client sharing under process isolation — every colluder would
   deviate along its own direction instead of the first colluder's. The
-  pool refuses such batches with a ``RuntimeError`` instead of silently
+  pool refuses with a ``RuntimeError`` as soon as two such colluders
+  would train against one global model, whether they share a sync round
+  or arrive one per call in an async window, instead of silently
   mis-simulating the attack. Seed-derived collusion
   (``AdditiveNoiseAttack``, ``DecoderPoisoningAttack``) is unaffected.
   Run order-dependent colluding attacks on the sequential backend.
@@ -94,31 +96,6 @@ class IPCStats:
     def per_round_nbytes(self) -> float:
         """Mean pickled bytes per executed round (0 if none ran)."""
         return self.total_nbytes / self.rounds if self.rounds else 0.0
-
-
-def _reject_runtime_collusion(clients: list[FLClient]) -> None:
-    """Fail loudly instead of silently mis-simulating collusion.
-
-    An attack flagged ``runtime_collusion`` shares state that one colluder
-    *creates during the round* (DirectedDeviation's first estimated
-    direction). Worker processes mutate isolated copies, so with two or
-    more such colluders in a batch each would deviate along its own
-    direction — a different attack than the sequential semantics.
-    """
-    shared = Counter(
-        id(client.attack)
-        for client in clients
-        if client.attack is not None
-        and getattr(client.attack, "runtime_collusion", False)
-    )
-    if any(count >= 2 for count in shared.values()):
-        raise RuntimeError(
-            "the process-pool backend cannot simulate runtime-colluding attacks "
-            "(e.g. DirectedDeviationAttack): worker processes mutate "
-            "isolated attack copies, so colluders would no longer share "
-            "the first colluder's direction. Run this scenario on "
-            "SequentialBackend instead."
-        )
 
 
 class ExecutionBackend:
@@ -278,9 +255,6 @@ def _resident_worker_main(conn) -> None:
 
     * ``("install", [ClientRecipe, ...])`` — rebuild and adopt clients;
       no reply (errors surface on the next round reply).
-    * ``("evict", [client_id, ...])`` — drop resident clients (LRU cap);
-      no reply. The main process harvests their state first, so a later
-      re-install resumes them bit-identically.
     * ``("round", round_idx, include_decoder, [client_id, ...],
       weights_ref, engine_kind)`` — fit the listed resident clients in
       order with the named training engine; replies
@@ -309,14 +283,6 @@ def _resident_worker_main(conn) -> None:
                     clients[recipe.client_id] = recipe.build()
             except Exception:  # noqa: BLE001 - forwarded to the main process
                 pending_error = traceback.format_exc()
-            continue
-        if kind == "evict":
-            for cid in message[1]:
-                clients.pop(cid, None)
-                # Forgetting the shipped version makes a re-installed
-                # client re-ship its decoder once; the main-process store
-                # just overwrites the same version.
-                shipped_versions.pop(cid, None)
             continue
         if kind == "harvest":
             try:
@@ -410,34 +376,22 @@ class ProcessPoolBackend(ExecutionBackend):
         (``"loop"`` or ``"batched"``; see :mod:`repro.fl.batched`).
         With ``"batched"`` every worker stacks its own clients, so the
         pool composes process parallelism with leading-axis batching.
-    resident_cap:
-        LRU cap on clients resident *per worker* (0 = unbounded, the PR 3
-        behavior). With a huge lazily-sampled population, unbounded
-        residency would accumulate every client ever sampled in worker
-        memory; the cap harvests the oldest clients' state back to the
-        main process and evicts them, so a re-sampled evicted client
-        re-installs with its harvested state and resumes bit-identically.
     """
 
     def __init__(self, max_workers: int | None = None,
-                 engine: str = "loop", resident_cap: int = 0) -> None:
+                 engine: str = "loop") -> None:
         super().__init__()
         self.max_workers = max_workers
         if engine not in ("loop", "batched"):
             raise ValueError(f"unknown engine kind {engine!r}")
-        if resident_cap < 0:
-            raise ValueError(f"resident_cap must be >= 0, got {resident_cap}")
         self.engine_kind = engine
-        self.resident_cap = resident_cap
         self._workers: list[_WorkerHandle] | None = None
         self._mp_ctx = None
         self._resident_ids: set[int] = set()
-        # Insertion-ordered LRU over resident ids (last = most recently
-        # dispatched); only consulted when resident_cap > 0.
-        self._lru: dict[int, None] = {}
-        # client_id -> harvested state_dict of an evicted client, applied
-        # to its recipe on the next install.
-        self._evicted_states: dict[int, dict] = {}
+        # The global model the last fit call trained against, and the
+        # (attack id, client id) runtime colluders fitted against it.
+        self._collusion_psi: np.ndarray | None = None
+        self._colluders: set[tuple[int, int]] = set()
         # client_id -> (decoder_version, θ_j): replay store for updates
         # whose decoder stayed worker-side (already shipped earlier).
         self._decoder_store: dict[int, tuple[int, np.ndarray]] = {}
@@ -498,7 +452,6 @@ class ProcessPoolBackend(ExecutionBackend):
         self._resident_ids = {
             cid for cid in self._resident_ids if cid % n != worker_idx
         }
-        self._lru = {cid: None for cid in self._lru if cid % n != worker_idx}
         self.respawns += 1
 
     def _reap_dead_workers(self) -> None:
@@ -528,20 +481,11 @@ class ProcessPoolBackend(ExecutionBackend):
         """
         workers = self._workers
         for final in (False, True):
-            fresh = []
-            for client in group:
-                if client.client_id in self._resident_ids:
-                    continue
-                recipe = client.make_recipe()
-                state = self._evicted_states.get(client.client_id)
-                if state is not None:
-                    # Previously evicted: resume from the harvested state
-                    # instead of replaying construction from scratch.
-                    recipe.state = state
-                fresh.append(recipe)
+            fresh = [
+                client.make_recipe() for client in group
+                if client.client_id not in self._resident_ids
+            ]
             try:
-                if self.resident_cap:
-                    self._evict_overflow(worker_idx, group)
                 if fresh:
                     workers[worker_idx].send(("install", fresh))
                 workers[worker_idx].send(
@@ -551,49 +495,11 @@ class ProcessPoolBackend(ExecutionBackend):
                 )
                 for recipe in fresh:
                     self._resident_ids.add(recipe.client_id)
-                    self._evicted_states.pop(recipe.client_id, None)
-                if self.resident_cap:
-                    for client in group:
-                        self._lru.pop(client.client_id, None)
-                        self._lru[client.client_id] = None
                 return
             except (BrokenPipeError, EOFError, OSError):
                 if final:
                     raise
                 self._respawn_worker(worker_idx)
-
-    def _evict_overflow(self, worker_idx: int, group: list[FLClient]) -> None:
-        """Harvest-then-evict the worker's oldest residents over the cap.
-
-        Eviction never touches this round's group; if the group alone
-        exceeds the cap, everything else is evicted and the group stays.
-        Harvest runs *before* the evict message, so the evicted state is
-        safely in ``_evicted_states`` by the time the worker drops it.
-        """
-        workers = self._workers
-        n = len(workers)
-        group_ids = {client.client_id for client in group}
-        resident_here = [
-            cid for cid in self._lru
-            if cid % n == worker_idx and cid in self._resident_ids
-        ]
-        incoming = len(group_ids - self._resident_ids)
-        future = len(resident_here) + incoming
-        evictable = [cid for cid in resident_here if cid not in group_ids]
-        to_evict = evictable[: max(future - self.resident_cap, 0)]
-        if not to_evict:
-            return
-        workers[worker_idx].send(("harvest", to_evict))
-        status, payload = workers[worker_idx].recv()
-        if status == "error":
-            raise RuntimeError(f"resident worker evict-harvest failed:\n{payload}")
-        if status != "ok":
-            raise RuntimeError(f"unexpected worker reply tag {status!r}")
-        self._evicted_states.update(payload)
-        workers[worker_idx].send(("evict", to_evict))
-        for cid in to_evict:
-            self._resident_ids.discard(cid)
-            self._lru.pop(cid, None)
 
     def _collect_round(self, worker_idx: int, group: list[FLClient],
                        round_idx: int, include_decoder: bool, ref) -> list[dict]:
@@ -617,8 +523,44 @@ class ProcessPoolBackend(ExecutionBackend):
             raise RuntimeError(f"unexpected worker reply tag {status!r}")
         return payload
 
+    def _reject_runtime_collusion(self, clients: list[FLClient],
+                                  weights: np.ndarray) -> None:
+        """Fail loudly instead of silently mis-simulating collusion.
+
+        An attack flagged ``runtime_collusion`` shares state that one
+        colluder creates while training against a global model
+        (DirectedDeviation's first estimated direction, kept until ψ
+        changes by ``np.array_equal``). Worker processes mutate isolated
+        copies, so two distinct colluders fitted against one ψ would each
+        deviate along their own direction — a different attack than the
+        sequential semantics. The count runs per ψ across calls, since an
+        async window fits one client per call; a client refitted against
+        the same ψ reuses its own direction and counts once.
+        """
+        if self._collusion_psi is None or not np.array_equal(
+            self._collusion_psi, weights
+        ):
+            self._collusion_psi = np.array(weights)
+            self._colluders.clear()
+        self._colluders.update(
+            (id(client.attack), client.client_id)
+            for client in clients
+            if client.attack is not None
+            and getattr(client.attack, "runtime_collusion", False)
+        )
+        shared = Counter(attack for attack, _ in self._colluders)
+        if any(count >= 2 for count in shared.values()):
+            raise RuntimeError(
+                "the process-pool backend cannot simulate runtime-colluding attacks "
+                "(e.g. DirectedDeviationAttack): worker processes mutate "
+                "isolated attack copies, so colluders would no longer share "
+                "the first colluder's direction. Run this scenario on "
+                "SequentialBackend instead."
+            )
+
     def fit_clients(self, clients, global_weights, include_decoder, round_idx=0):
-        _reject_runtime_collusion(clients)
+        weights = np.ascontiguousarray(global_weights, dtype=np.float64)
+        self._reject_runtime_collusion(clients, weights)
         workers = self._ensure_workers()
         # Replace workers that died since last round (crash injection);
         # their clients are re-installed from recipes below.
@@ -633,7 +575,6 @@ class ProcessPoolBackend(ExecutionBackend):
             if (group := [c for c in clients if c.client_id % n == worker_idx])
         }
 
-        weights = np.ascontiguousarray(global_weights, dtype=np.float64)
         ref, segment = self._publish_weights(weights)
         packed_by_id: dict[int, dict] = {}
         # Collection order across workers is free: results are keyed by
@@ -706,27 +647,21 @@ class ProcessPoolBackend(ExecutionBackend):
     def client_states(self, client_ids: list[int]) -> dict[int, dict] | None:
         """Harvest authoritative checkpoint state from the workers.
 
-        Only clients this backend ever fitted appear in the result —
-        resident ones are harvested live, LRU-evicted ones answer from the
-        main-process ``_evicted_states`` copy (harvested at eviction, still
-        authoritative: the worker no longer holds them). Ids never fitted
-        here are absent, and the caller falls back to the population
-        (which *is* authoritative for them).
+        Only clients resident in a worker appear in the result, harvested
+        live. Ids never fitted here are absent, and the caller falls back
+        to the population (which *is* authoritative for them).
         """
         if self._workers is None:
             return {}
         self._reap_dead_workers()
         n = len(self._workers)
         by_worker: dict[int, list[int]] = {}
-        evicted: dict[int, dict] = {}
         for cid in client_ids:
             if cid in self._resident_ids:
                 by_worker.setdefault(cid % n, []).append(cid)
-            elif cid in self._evicted_states:
-                evicted[cid] = self._evicted_states[cid]
         for worker_idx, ids in by_worker.items():
             self._workers[worker_idx].send(("harvest", ids))
-        harvested: dict[int, dict] = dict(evicted)
+        harvested: dict[int, dict] = {}
         for worker_idx in by_worker:
             status, payload = self._workers[worker_idx].recv()
             if status == "error":
@@ -742,9 +677,9 @@ class ProcessPoolBackend(ExecutionBackend):
                 worker.shutdown()
             self._workers = None
             self._resident_ids.clear()
-            self._lru.clear()
-            self._evicted_states.clear()
             self._decoder_store.clear()
+        self._collusion_psi = None
+        self._colluders.clear()
 
     def __enter__(self) -> "ProcessPoolBackend":
         return self
@@ -760,7 +695,6 @@ def make_backend(config: FederationConfig) -> ExecutionBackend:
     if config.backend == "process":
         return ProcessPoolBackend(
             max_workers=config.backend_workers or None, engine=config.engine,
-            resident_cap=config.population_resident_cap,
         )
     raise ValueError(
         f"unknown backend kind {config.backend!r}; known: {BACKEND_KINDS}"

@@ -26,12 +26,10 @@ spawns, partition subsets, or stream objects up front:
     ``searchsorted``.
 
 * :class:`PackedStateStore` — per-client *mutable* state (PCG64 RNG
-  counters, rounds fit, decoder versions, CVAE losses, flags) lives in
-  packed NumPy structured arrays — RAM-backed by default, optionally
-  memory-mapped (``population_store="mmap"``) so even the touched-client
-  state stays off the heap. Only clients that actually participated own a
-  row; decoder vectors and (opt-in) stream objects live in side tables
-  keyed by id, O(touched) not O(n).
+  counters, rounds fit, decoder versions, CVAE losses) lives in one
+  packed NumPy structured array. Only clients that actually participated
+  own a row; decoder vectors and (opt-in) stream objects live in side
+  tables keyed by id, O(touched) not O(n).
 
 * :class:`EagerPopulation` — the adapter wrapping a live client list.
   Hand-built servers (``Server(clients=[...])``) go through it; the server
@@ -50,8 +48,6 @@ scheme.
 
 from __future__ import annotations
 
-import os
-import tempfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,10 +63,7 @@ __all__ = [
     "ClientPopulation",
     "EagerPopulation",
     "VirtualClientPopulation",
-    "POPULATION_STORES",
 ]
-
-POPULATION_STORES = ("ram", "mmap")
 
 
 # ---------------------------------------------------------------------------
@@ -183,22 +176,16 @@ class VirtualPartition:
 # ---------------------------------------------------------------------------
 
 # One row per *touched* client. PCG64 state/inc are 128-bit integers packed
-# into hi/lo uint64 pairs; non-PCG64 bit generators fall back to a dict
-# side table (flagged), so exotic hand-built clients still round-trip.
+# into hi/lo uint64 pairs. Population clients always draw from PCG64, so a
+# row holds nothing else and ``pack`` refuses any other bit generator.
 _STATE_DTYPE = np.dtype([
-    ("client_id", np.int64),
     ("rng_state_hi", np.uint64), ("rng_state_lo", np.uint64),
     ("rng_inc_hi", np.uint64), ("rng_inc_lo", np.uint64),
     ("rng_has_uint32", np.uint8), ("rng_uinteger", np.uint64),
     ("rounds_fit", np.int64),
     ("decoder_version", np.int64),
     ("cvae_loss", np.float64),
-    ("flags", np.uint8),
 ])
-
-_FLAG_HAS_DECODER = 1
-_FLAG_HAS_OBJECTS = 2   # streaming client: stream+dataset in the side table
-_FLAG_RNG_FALLBACK = 4  # non-PCG64 rng state in the side table
 
 _U64 = 1 << 64
 
@@ -206,38 +193,14 @@ _U64 = 1 << 64
 class PackedStateStore:
     """Array-backed store of per-client mutable state, O(touched) rows.
 
-    ``store="ram"`` keeps the structured array on the heap;
-    ``store="mmap"`` backs it with a memory-mapped file in a private
-    temporary directory (pages the OS can evict), which keeps even huge
-    touched sets off the Python heap. Capacity doubles on demand.
+    The structured array lives on the heap; capacity doubles on demand.
     """
 
-    def __init__(self, store: str = "ram", initial_capacity: int = 256) -> None:
-        if store not in POPULATION_STORES:
-            raise ValueError(
-                f"unknown population store {store!r}; known: {POPULATION_STORES}"
-            )
-        self.store = store
-        self._tmpdir = (
-            tempfile.TemporaryDirectory(prefix="repro-population-")
-            if store == "mmap" else None
-        )
-        self._generation = 0
-        self._rows = self._allocate(max(initial_capacity, 1))
+    def __init__(self, initial_capacity: int = 256) -> None:
+        self._rows = np.zeros(max(initial_capacity, 1), dtype=_STATE_DTYPE)
         self._slots: dict[int, int] = {}
         self._decoders: dict[int, np.ndarray] = {}
         self._objects: dict[int, tuple] = {}
-        self._rng_fallback: dict[int, dict] = {}
-
-    def _allocate(self, capacity: int) -> np.ndarray:
-        if self.store == "mmap":
-            path = os.path.join(
-                self._tmpdir.name, f"state-{self._generation}.bin"
-            )
-            self._generation += 1
-            return np.memmap(path, dtype=_STATE_DTYPE, mode="w+",
-                             shape=(capacity,))
-        return np.zeros(capacity, dtype=_STATE_DTYPE)
 
     def __contains__(self, cid: int) -> bool:
         return cid in self._slots
@@ -253,54 +216,51 @@ class PackedStateStore:
         if slot is None:
             slot = len(self._slots)
             if slot >= len(self._rows):
-                grown = self._allocate(2 * len(self._rows))
-                grown[: len(self._rows)] = self._rows[:]
+                grown = np.zeros(2 * len(self._rows), dtype=_STATE_DTYPE)
+                grown[: len(self._rows)] = self._rows
                 self._rows = grown
             self._slots[cid] = slot
         return slot
 
     def pack(self, cid: int, state: dict) -> None:
-        """Fold one ``FLClient.state_dict()`` payload into packed rows."""
+        """Fold one ``FLClient.state_dict()`` payload into packed rows.
+
+        A non-PCG64 RNG state raises ``ValueError`` and leaves ``cid``
+        out of the store.
+        """
+        rng_state = state["rng_state"]
+        if rng_state.get("bit_generator") != "PCG64":
+            raise ValueError(
+                f"client {cid}: packed client state needs a PCG64 RNG, "
+                f"got {rng_state.get('bit_generator')!r}"
+            )
         # Resolve the slot first: _slot_for may grow (replace) self._rows.
         slot = self._slot_for(cid)
         row = self._rows[slot]
-        row["client_id"] = cid
-        flags = 0
-        rng_state = state["rng_state"]
-        if rng_state.get("bit_generator") == "PCG64":
-            state_hi, state_lo = divmod(rng_state["state"]["state"], _U64)
-            inc_hi, inc_lo = divmod(rng_state["state"]["inc"], _U64)
-            row["rng_state_hi"], row["rng_state_lo"] = state_hi, state_lo
-            row["rng_inc_hi"], row["rng_inc_lo"] = inc_hi, inc_lo
-            row["rng_has_uint32"] = rng_state["has_uint32"]
-            row["rng_uinteger"] = rng_state["uinteger"]
-            self._rng_fallback.pop(cid, None)
-        else:
-            flags |= _FLAG_RNG_FALLBACK
-            self._rng_fallback[cid] = rng_state
+        state_hi, state_lo = divmod(rng_state["state"]["state"], _U64)
+        inc_hi, inc_lo = divmod(rng_state["state"]["inc"], _U64)
+        row["rng_state_hi"], row["rng_state_lo"] = state_hi, state_lo
+        row["rng_inc_hi"], row["rng_inc_lo"] = inc_hi, inc_lo
+        row["rng_has_uint32"] = rng_state["has_uint32"]
+        row["rng_uinteger"] = rng_state["uinteger"]
         row["rounds_fit"] = state["rounds_fit"]
         row["decoder_version"] = state["decoder_version"]
         row["cvae_loss"] = state["cvae_loss"]
         if state["decoder_vector"] is not None:
-            flags |= _FLAG_HAS_DECODER
             self._decoders[cid] = state["decoder_vector"]
         else:
             self._decoders.pop(cid, None)
         if state["stream"] is not None:
-            flags |= _FLAG_HAS_OBJECTS
             self._objects[cid] = (state["stream"], state["dataset"])
         else:
             self._objects.pop(cid, None)
-        row["flags"] = flags
 
     def unpack(self, cid: int) -> dict:
         """Rebuild the ``state_dict`` payload for a touched client."""
         row = self._rows[self._slots[cid]]
-        flags = int(row["flags"])
-        if flags & _FLAG_RNG_FALLBACK:
-            rng_state = self._rng_fallback[cid]
-        else:
-            rng_state = {
+        stream, dataset = self._objects.get(cid, (None, None))
+        return {
+            "rng_state": {
                 "bit_generator": "PCG64",
                 "state": {
                     "state": (int(row["rng_state_hi"]) * _U64
@@ -310,10 +270,7 @@ class PackedStateStore:
                 },
                 "has_uint32": int(row["rng_has_uint32"]),
                 "uinteger": int(row["rng_uinteger"]),
-            }
-        stream, dataset = self._objects.get(cid, (None, None))
-        return {
-            "rng_state": rng_state,
+            },
             "rounds_fit": int(row["rounds_fit"]),
             "decoder_vector": self._decoders.get(cid),
             "decoder_version": int(row["decoder_version"]),
@@ -450,8 +407,6 @@ class VirtualClientPopulation(ClientPopulation):
     synth_cfg:
         The federation's :class:`~repro.data.synth.SynthMnistConfig`
         (stream construction); may be ``None`` when not streaming.
-    store:
-        Packed-state backing: ``"ram"`` or ``"mmap"``.
     """
 
     def __init__(
@@ -464,7 +419,6 @@ class VirtualClientPopulation(ClientPopulation):
         client_parent: SeedParent,
         stream_parent: SeedParent | None = None,
         synth_cfg=None,
-        store: str = "ram",
     ) -> None:
         self._config = config
         self._pool = train_pool
@@ -474,7 +428,7 @@ class VirtualClientPopulation(ClientPopulation):
         self._client_parent = client_parent
         self._stream_parent = stream_parent
         self._synth_cfg = synth_cfg
-        self._store = PackedStateStore(store=store)
+        self._store = PackedStateStore()
 
     @property
     def size(self) -> int:

@@ -42,9 +42,10 @@ __all__ = [
 # Checkpoint payload schema version (see ``federation_state``); bumped on
 # any incompatible change so ``restore_federation`` can refuse clearly.
 # v2 added the server-mode state (the async event queue / buffer); v3
-# dropped the ``population`` key from the stored config. Only the current
-# version restores.
-CHECKPOINT_VERSION = 3
+# dropped the ``population`` key from the stored config; v4 dropped its
+# state-store and worker-residency-cap keys. Only the current version
+# restores.
+CHECKPOINT_VERSION = 4
 
 # Auxiliary-dataset size granted to defenses that assume public data
 # (Spectral). Kept small relative to the training set — the paper's
@@ -175,7 +176,6 @@ def build_federation(
             if config.stream_samples_per_round > 0 else None
         ),
         synth_cfg=synth_cfg,
-        store=config.population_store,
     )
 
     # Snapshot the classifier stream first: its replayed state matches the

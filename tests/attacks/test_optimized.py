@@ -64,6 +64,17 @@ class TestDirectedDeviation:
         second = attack.apply(np.ones(10) + rng.standard_normal(10), rng)
         assert not np.array_equal(first, second)
 
+    def test_in_place_global_update_resets_shared_direction(self, rng):
+        # The server updates ψ in place (``global_weights += ...``); the
+        # colluders must still see a new round and re-estimate.
+        attack = DirectedDeviationAttack(lam=0.3)
+        psi = np.zeros(4)
+        attack.bind_global(psi)
+        attack.apply(psi + 1.0, rng)  # shared direction +1
+        psi += 1.0
+        attack.bind_global(psi)
+        np.testing.assert_array_equal(attack.apply(psi - 1.0, rng), psi + 0.3)
+
 
 class TestScaling:
     def test_boosts_delta(self, rng):

@@ -454,6 +454,19 @@ class TestCheckpointResume:
         with pytest.raises(ValueError):
             save_checkpoint({"format": "something-else"}, tmp_path / "x.pkl")
 
+    def test_non_pcg64_client_state_refused_at_restore(self):
+        # Population clients draw from PCG64 only; a checkpoint carrying
+        # another bit generator must fail at restore, not when the client
+        # is next checked out.
+        config = FederationConfig.tiny(rounds=1)
+        server = build_federation(config, FedAvg(), no_attack())
+        history = server.run()
+        state = federation_state(server, history)
+        cid = next(iter(state["clients"]))
+        state["clients"][cid]["rng_state"] = np.random.MT19937(3).state
+        with pytest.raises(ValueError, match=f"client {cid}.*PCG64"):
+            restore_federation(state)
+
     def test_version_mismatch_rejected(self, tmp_path):
         config = FederationConfig.tiny(rounds=1)
         server = build_federation(config, FedAvg(), no_attack())

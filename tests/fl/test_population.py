@@ -105,9 +105,8 @@ class TestPackedStateStore:
             "dataset": None,
         }
 
-    @pytest.mark.parametrize("kind", ["ram", "mmap"])
-    def test_pack_unpack_round_trip(self, kind):
-        store = PackedStateStore(store=kind)
+    def test_pack_unpack_round_trip(self):
+        store = PackedStateStore()
         state = self.pcg_state(123)
         store.pack(9, state)
         out = store.unpack(9)
@@ -136,22 +135,13 @@ class TestPackedStateStore:
         for cid in range(9):
             assert store.unpack(cid)["rounds_fit"] == cid
 
-    def test_non_pcg64_rng_falls_back(self):
+    def test_non_pcg64_rng_refused(self):
         store = PackedStateStore()
         state = self.pcg_state(0)
-        gen = np.random.Generator(np.random.MT19937(11))
-        state["rng_state"] = gen.bit_generator.state
-        store.pack(4, state)
-        restored = np.random.Generator(np.random.MT19937())
-        restored.bit_generator.state = store.unpack(4)["rng_state"]
-        np.testing.assert_array_equal(
-            restored.integers(0, 1 << 30, size=5),
-            gen.integers(0, 1 << 30, size=5),
-        )
-
-    def test_unknown_store_rejected(self):
-        with pytest.raises(ValueError):
-            PackedStateStore(store="disk")
+        state["rng_state"] = np.random.MT19937(11).state
+        with pytest.raises(ValueError, match="client 4.*PCG64.*MT19937"):
+            store.pack(4, state)
+        assert 4 not in store and len(store) == 0
 
 
 class TestLazyClientView:

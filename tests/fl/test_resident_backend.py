@@ -8,6 +8,10 @@ sequential backend is the referee, across every registered strategy and
 through a lossy channel.
 """
 
+import multiprocessing
+import pickle
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -26,6 +30,7 @@ from repro.fl import (
     make_backend,
 )
 from repro.fl.client import ClientRecipe
+from repro.fl.parallel import _resident_worker_main
 
 
 def _strip_clocks(history) -> dict:
@@ -134,6 +139,86 @@ class TestRuntimeCollusionRejection:
             server = build_federation(config, FedAvg(), scenario, backend=backend)
             with pytest.raises(RuntimeError, match="runtime-colluding"):
                 server.run(rounds=3)
+
+    def test_async_colluders_against_one_global_model_rejected(self):
+        # An async window fits one client per call; counting per call let
+        # each colluder build its own direction in its own worker.
+        config = FederationConfig.tiny(
+            server_mode="async", buffer_size=4, async_concurrency=4,
+            clients_per_round=4, rounds=3,
+        )
+        scenario = AttackScenario(
+            name="directed_deviation_50",
+            attack=DirectedDeviationAttack(colluding=True),
+            malicious_fraction=0.5,
+        )
+        with ProcessPoolBackend(max_workers=2) as backend:
+            server = build_federation(config, FedAvg(), scenario, backend=backend)
+            with pytest.raises(RuntimeError, match="runtime-colluding"):
+                server.run()
+
+    def test_single_colluder_async_matches_sequential(self):
+        # One colluder per global model is allowed on the pool, so its
+        # history must equal the sequential one round for round.
+        config = FederationConfig.tiny(
+            n_clients=10, train_samples=400, server_mode="async",
+            buffer_size=3, async_concurrency=3, clients_per_round=4, rounds=4,
+        )
+
+        def scenario():
+            return AttackScenario(
+                name="directed_deviation_10",
+                attack=DirectedDeviationAttack(colluding=True),
+                malicious_fraction=0.1,
+            )
+
+        seq = build_federation(
+            config, FedAvg(), scenario(), backend=SequentialBackend()
+        ).run()
+        with ProcessPoolBackend(max_workers=2) as backend:
+            res = build_federation(config, FedAvg(), scenario(), backend=backend).run()
+        assert _strip_clocks(seq) == _strip_clocks(res)
+
+    def test_colluders_counted_per_global_model(self):
+        attack = DirectedDeviationAttack(colluding=True)
+        a, b = (SimpleNamespace(client_id=cid, attack=attack) for cid in (0, 1))
+        backend = ProcessPoolBackend(max_workers=1)
+        psi = np.zeros(3)
+        backend._reject_runtime_collusion([a], psi)
+        # A refit against an equal ψ reuses the client's own direction.
+        backend._reject_runtime_collusion([a], psi.copy())
+        # A new ψ starts a new shared direction.
+        backend._reject_runtime_collusion([b], psi + 1.0)
+        with pytest.raises(RuntimeError, match="runtime-colluding"):
+            backend._reject_runtime_collusion([a], psi + 1.0)
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="drives the worker over a forked pipe")
+class TestWorkerProtocol:
+    def test_unknown_tag_answered_and_close_exits(self):
+        ctx = multiprocessing.get_context("fork")
+        conn, child_conn = ctx.Pipe()
+        worker = ctx.Process(target=_resident_worker_main, args=(child_conn,),
+                             daemon=True)
+        worker.start()
+        child_conn.close()
+        try:
+            # The pool speaks install/round/harvest/close only; any other
+            # tag gets an error reply instead of leaving the sender blocked.
+            conn.send_bytes(pickle.dumps(("evict", [0])))
+            assert conn.poll(5), "worker dropped an unknown tag without a reply"
+            assert pickle.loads(conn.recv_bytes()) == (
+                "error", "unknown message tag 'evict'"
+            )
+            conn.send_bytes(pickle.dumps(("close",)))
+            worker.join(timeout=5)
+            assert worker.exitcode == 0
+        finally:
+            conn.close()
+            if worker.is_alive():
+                worker.kill()
+                worker.join()
 
 
 class TestDecoderDedup:

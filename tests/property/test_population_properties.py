@@ -5,7 +5,7 @@ every client up front: same per-client RNG streams, same partition
 membership, same attack designation, same stream draws — for any seed,
 any scheme, any population size. These properties pin that contract
 against a test-only eager oracle, plus the packed-state round-trip that
-checkpoint/resume and worker eviction both lean on.
+checkpoint/resume leans on.
 """
 
 import numpy as np

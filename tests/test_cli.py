@@ -27,6 +27,19 @@ class TestParser:
                 ["run", "--strategy", "nope", "--scenario", "no_attack"]
             )
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--resident-cap", "4"),
+        ("--population-store", "mmap"),
+    ])
+    def test_retired_client_state_flags_rejected(self, flag, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(
+                ["run", "--strategy", "fedavg", "--scenario", "no_attack",
+                 flag, value]
+            )
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+
     def test_command_required(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])

@@ -60,6 +60,17 @@ class TestFederationConfigSerialization:
         with pytest.raises(KeyError):
             FederationConfig.from_dict(data)
 
+    @pytest.mark.parametrize("key, value", [
+        ("population_store", "ram"),
+        ("population_resident_cap", 0),
+    ])
+    def test_retired_client_state_keys_rejected(self, key, value):
+        # A manifest.json written while these keys existed is refused.
+        data = FederationConfig.tiny().to_dict()
+        data[key] = value
+        with pytest.raises(KeyError, match=key):
+            FederationConfig.from_dict(data)
+
 
 class TestManifest:
     def test_save_load(self, tmp_path):
