@@ -219,6 +219,14 @@ class FederationConfig:
                 f"buffer_size ({self.buffer_size}) exceeds n_clients "
                 f"({self.n_clients}); a flush samples distinct clients"
             )
+        if self.server_mode == "async" and self.min_quorum > (
+            self.buffer_size or self.clients_per_round
+        ):
+            raise ValueError(
+                f"min_quorum ({self.min_quorum}) exceeds buffer_size "
+                f"({self.buffer_size}); an async flush aggregates at most "
+                f"buffer_size updates, so every flush would fail its quorum"
+            )
         if self.async_concurrency > self.n_clients:
             raise ValueError(
                 f"async_concurrency ({self.async_concurrency}) exceeds "

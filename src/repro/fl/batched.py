@@ -20,9 +20,11 @@ per slice to the 2-D code path. The only observable difference is timing
 granularity: ``begin_fit``/``finish_fit`` (stream ingestion, CVAE
 training) are timed per client and each stacked group's wall clock is
 apportioned equally among that group's members, so per-client attribution
-tracks actual batch share and straggler deadlines (``deadline_s``) work
-without falling back to ``--engine loop``. Only intra-group variation
-(unequal compute on equal-sized datasets) is averaged away.
+tracks actual batch share. These wall times feed only the reporting
+metrics (``client_time_*`` and the sync ``duration_s``); the straggler
+deadline (``deadline_s``) reads simulated link time alone (RG007). Only
+intra-group variation (unequal compute on equal-sized datasets) is
+averaged away.
 
 Engines are selected by :attr:`repro.config.FederationConfig.engine`
 (CLI ``--engine {loop,batched}``) and plugged into the execution backends

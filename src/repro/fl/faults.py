@@ -19,10 +19,11 @@ adds that layer:
   link modeling. The wrapper owns the round's
   :class:`~repro.fl.transport.TransportStats`; the inner channel's
   accounting is bypassed entirely.
-* :func:`inject_worker_crashes` — the glue the server's fit phase calls to
-  deliver the plan's scheduled worker crashes to an execution backend
-  (both process pools implement ``inject_worker_crash``; the sequential
-  backend has no workers to kill and ignores the request).
+* :func:`inject_worker_crashes` — the glue the server calls when a sync
+  round or an async flush opens, to deliver the plan's scheduled worker
+  crashes to an execution backend (the process pool implements
+  ``inject_worker_crash``; the sequential backend has no workers to kill
+  and ignores the request).
 
 Determinism contract: every fault decision derives from the plan's script
 and its own seeded RNG — never from wall-clock time (lint rule RG007
@@ -227,7 +228,7 @@ class FaultPlan:
         self._crashes_by_round.setdefault(round_idx, []).append(worker_idx)
         return self
 
-    # -- queries (executed by FaultyChannel / the server's fit phase) --------
+    # -- queries (executed by FaultyChannel / the server's round opening) ---
     def drop_prob(self, direction: str) -> float:
         return self._drop_prob[direction]
 

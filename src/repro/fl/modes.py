@@ -12,9 +12,16 @@ The :class:`~repro.fl.server.Server` owns the *phases* of federated work
   current when they become available, and the server flushes the first
   ``buffer_size`` arrivals per call with staleness-discounted weights
   (``ψ̃_j = ψ + w(s_j)·(ψ_j − ψ)``, ``w`` pluggable via
-  :data:`STALENESS_WEIGHTS`). Each flush re-runs the strategy's
-  aggregation — FedGuard/PDGAN therefore recompute their audit filter
-  per flush.
+  :data:`STALENESS_WEIGHTS`). Each dispatch runs the server's
+  broadcast, fit and collect phases on a one-client
+  :class:`~repro.fl.server.RoundContext`, and each flush its aggregate,
+  apply and evaluate phases — FedGuard/PDGAN therefore recompute their
+  audit filter per flush, and a ``Server`` subclass overriding a phase
+  is honoured in both modes.
+
+Both modes open a round through ``Server._open_round`` (channel reset,
+scheduled worker crashes) and build its record with
+``Server._make_record``, passing only the metrics the mode alone knows.
 
 Arrival ordering is *entirely* simulated: events live on a seeded heap
 keyed by simulated time (channel latencies, fault-plan delays, retry
@@ -35,7 +42,7 @@ import numpy as np
 from ..analysis.contracts import schedule_adversary
 from .history import RoundRecord
 from .server import RoundContext
-from .transport import BroadcastMessage, SubmitMessage
+from .transport import SubmitMessage
 
 __all__ = [
     "ServerMode",
@@ -109,8 +116,7 @@ class _Window:
     dispatched_ids: list[int] = field(default_factory=list)
     fit_times: list[float] = field(default_factory=list)
     retry_wait_s: float = 0.0
-    stragglers_dropped: int = 0
-    dispatches: int = 0
+    late_submits: list[SubmitMessage] = field(default_factory=list)
 
 
 class ServerMode:
@@ -142,21 +148,36 @@ class ServerMode:
 class SyncRoundMode(ServerMode):
     """The paper's barrier round: every phase once over the full cohort.
 
-    This is the pre-refactor ``Server.run_round`` body verbatim — phases
-    dispatch through ``getattr(server, f"phase_{name}")`` so subclasses
-    overriding individual phases keep working, and the golden histories
-    stay byte-identical.
+    Phases dispatch through ``getattr(server, f"phase_{name}")`` so
+    subclasses overriding individual phases keep working; the mode adds
+    only the round's delivered-message duration and ``link_time_max_s``
+    to the record, and the golden histories stay byte-identical.
     """
 
     name = "sync"
 
     def run_round(self, server, round_idx: int) -> RoundRecord:
-        server.channel.open_round(round_idx)
+        server._open_round(round_idx)
         ctx = RoundContext(round_idx=round_idx)
         for phase in server.PHASES:
             getattr(server, f"phase_{phase}")(ctx)
 
-        record = server._make_record(ctx)
+        # The duration chains only delivered messages: download + fit +
+        # upload per client, then aggregation and the retry backoff the
+        # whole round waited through. Link time drops the wall-clock fit:
+        # the deterministic per-round clock the async-vs-sync benchmarks use.
+        down = {m.client_id: m.latency_s for m in ctx.delivered_broadcasts}
+        links = [(down.get(s.client_id, 0.0), s) for s in ctx.delivered_submits]
+        slowest_s = max((d + s.client_time_s + s.latency_s for d, s in links),
+                        default=0.0)
+        link_max_s = max((d + s.latency_s for d, s in links), default=0.0)
+        record = server._make_record(
+            ctx,
+            selected_ids=[c.client_id for c in ctx.participants],
+            duration_s=slowest_s + ctx.aggregation_time_s + ctx.retry_wait_s,
+            fit_times=[s.client_time_s for s in ctx.submits],
+            mode_metrics={"link_time_max_s": link_max_s + ctx.retry_wait_s},
+        )
         server.sampler.observe(record)
         # Lazy populations absorb the participants' post-round state into
         # packed arrays here; the materialized objects then evaporate.
@@ -170,9 +191,10 @@ class AsyncBufferedMode(ServerMode):
     Per ``run_round`` call (= one buffer flush), a simulated-time event
     loop keeps up to ``concurrency`` clients in flight: a free slot
     samples one client (excluding clients already in flight or buffered),
-    broadcasts the *current* ψ, trains immediately, and schedules the
-    submission's arrival at ``dispatch_time + link_time`` (channel
-    latencies + fault delays + retry backoff). The first ``buffer_size``
+    runs the server's broadcast, fit and collect phases for it against
+    the *current* ψ, and schedules the submission's arrival at
+    ``dispatch_time + link_time`` (channel latencies + fault delays +
+    retry backoff). The first ``buffer_size``
     arrivals are flushed through the ordinary aggregate/apply/evaluate
     phases with staleness-discounted update weights; later arrivals stay
     queued — with their dispatch-time model version — for future flushes,
@@ -278,78 +300,56 @@ class AsyncBufferedMode(ServerMode):
                   round_idx: int) -> None:
         """Broadcast-train-collect one client; schedule arrival or re-arm.
 
+        The server's own broadcast, fit and collect phases run on a
+        one-client context, retries and the straggler deadline included.
         Training runs eagerly at dispatch (the update is a pure function
         of ψ and the client's state, so computing it now or at simulated
         arrival time is equivalent); only the *arrival* is deferred on
         the event heap, at dispatch_time + simulated link time.
         """
-        window.dispatches += 1
         window.dispatched_ids.append(client_id)
         self._in_flight.add(client_id)
-        checked_out = server.population.checkout([client_id])
-        dctx = RoundContext(round_idx=round_idx)
-        message = BroadcastMessage(
+        ctx = RoundContext(
             round_idx=round_idx,
-            client_id=client_id,
-            weights=server.global_weights,
-            include_decoder=server.strategy.needs_decoder,
+            participants=server.population.checkout([client_id]),
         )
-        delivered = server._deliver_with_retries(
-            dctx, [message], server.channel.broadcast
-        )
-        if not delivered:
-            server.population.checkin(checked_out)
-            window.retry_wait_s += dctx.retry_wait_s
-            self._in_flight.discard(client_id)
-            self._push(self.sim_time + dctx.retry_wait_s, _AVAILABLE, None)
-            return
+        server.phase_broadcast(ctx)
+        server.phase_fit(ctx)
+        server.phase_collect(ctx)
+        server.population.checkin(ctx.participants)
+        window.retry_wait_s += ctx.retry_wait_s
+        window.fit_times.extend(s.client_time_s for s in ctx.submits)
+        window.late_submits.extend(ctx.late_submits)
 
-        submits = server.backend.execute(
-            delivered, {client_id: checked_out[0]}
+        # An upload, on time or late, lands after the simulated link time
+        # the deadline tested; a dropped message frees the slot once the
+        # retries are spent (``down`` is 0.0 if the broadcast never got
+        # through, and adding it is then exact).
+        sim, retry = self.sim_time, ctx.retry_wait_s
+        down = (
+            ctx.delivered_broadcasts[0].latency_s
+            if ctx.delivered_broadcasts else 0.0
         )
-        delivered_submits = server._deliver_with_retries(
-            dctx, submits, server.channel.collect
-        )
-        server.population.checkin(checked_out)
-        window.retry_wait_s += dctx.retry_wait_s
-        window.fit_times.extend(s.client_time_s for s in submits)
-        down_s = delivered[0].latency_s
-        if not delivered_submits:
-            self._in_flight.discard(client_id)
-            self._push(
-                self.sim_time + dctx.retry_wait_s + down_s, _AVAILABLE, None
-            )
-            return
-
-        submit = delivered_submits[0]
-        link_s = down_s + submit.latency_s + dctx.retry_wait_s
-        deadline = server.config.deadline_s
-        if deadline > 0.0 and link_s > deadline:
-            window.stragglers_dropped += 1
-            self._in_flight.discard(client_id)
-            self._push(self.sim_time + link_s, _AVAILABLE, None)
-            return
-
-        self._push(
-            self.sim_time + link_s,
-            _ARRIVAL,
-            _Arrival(
+        uploads = ctx.delivered_submits or ctx.late_submits
+        if uploads:
+            at_time = sim + ((down + uploads[0].latency_s) + retry)
+        else:
+            at_time = (sim + retry) + down
+        if ctx.delivered_submits:
+            self._push(at_time, _ARRIVAL, _Arrival(
                 client_id=client_id,
-                submit=submit,
+                submit=ctx.delivered_submits[0],
                 dispatch_version=self.model_version,
-                dispatch_time=self.sim_time,
-            ),
-        )
+                dispatch_time=sim,
+            ))
+        else:
+            self._in_flight.discard(client_id)
+            self._push(at_time, _AVAILABLE, None)
 
     # -- the flush window ---------------------------------------------------
     def run_round(self, server, round_idx: int) -> RoundRecord:
         buffer_size, concurrency = self._effective(server)
-        server.channel.open_round(round_idx)
-        fault_plan = getattr(server.channel, "fault_plan", None)
-        if fault_plan is not None:
-            from .faults import inject_worker_crashes
-
-            inject_worker_crashes(fault_plan, server.backend, round_idx)
+        server._open_round(round_idx)
 
         window = _Window(start_time=self.sim_time)
         budget = _DISPATCH_BUDGET_FACTOR * max(buffer_size, concurrency)
@@ -361,7 +361,7 @@ class AsyncBufferedMode(ServerMode):
             at_time, _, kind, payload = heapq.heappop(self._events)
             self.sim_time = max(self.sim_time, at_time)
             if kind == _AVAILABLE:
-                if window.dispatches >= budget:
+                if len(window.dispatched_ids) >= budget:
                     continue  # budget spent: the slot parks until next flush
                 client_id = self._pick_client(server)
                 if client_id is None:
@@ -417,56 +417,25 @@ class AsyncBufferedMode(ServerMode):
             [self._weight_fn(int(s)) for s in staleness], dtype=np.float64
         )
 
-        ctx = RoundContext(round_idx=round_idx)
-        ctx.retry_wait_s = window.retry_wait_s
-        ctx.stragglers_dropped = window.stragglers_dropped
-        ctx.updates = self._discounted(server, kept, discount)
+        ctx = RoundContext(
+            round_idx=round_idx,
+            updates=self._discounted(server, kept, discount),
+            retry_wait_s=window.retry_wait_s,
+            late_submits=window.late_submits,
+        )
         server.phase_aggregate(ctx)
         server.phase_apply(ctx)
         server.phase_evaluate(ctx)
         self.model_version += 1
-        return self._make_flush_record(
-            server, ctx, window, staleness, stale_dropped
-        )
-
-    def _make_flush_record(self, server, ctx: RoundContext, window: _Window,
-                           staleness: np.ndarray,
-                           stale_dropped: int) -> RoundRecord:
-        stats = server.channel.stats
-        accepted = set(ctx.result.accepted_ids)
-        malicious_ids = {u.client_id for u in ctx.updates if u.malicious}
-
-        # The flush duration is *purely* simulated — the window's span on
-        # the event clock — so simulated-time-to-accuracy benchmarks are
-        # a pure function of the seed on every backend.
-        duration_s = self.sim_time - window.start_time
-
-        recovery_metrics: dict = {}
-        if server.config.retries > 0:
-            recovery_metrics["retry_wait_s"] = window.retry_wait_s
-        if server.config.deadline_s > 0.0:
-            recovery_metrics["stragglers_dropped"] = window.stragglers_dropped
-        cache_metrics = (
-            {
-                "decoder_cache_hits": stats.decoder_cache_hits,
-                "decoder_cache_saved_nbytes": stats.decoder_cache_saved_nbytes,
-            }
-            if getattr(server.channel, "decoder_cache_enabled", False)
-            else {}
-        )
-
-        return RoundRecord(
-            round_idx=ctx.round_idx,
-            accuracy=ctx.accuracy,
-            sampled_ids=[u.client_id for u in ctx.updates],
-            accepted_ids=sorted(accepted),
-            rejected_ids=sorted(ctx.result.rejected_ids),
-            malicious_sampled=len(malicious_ids),
-            malicious_accepted=len(accepted & malicious_ids),
-            upload_nbytes=stats.upload_nbytes,
-            download_nbytes=stats.download_nbytes,
-            duration_s=duration_s,
-            metrics={
+        return server._make_record(
+            ctx,
+            selected_ids=window.dispatched_ids,
+            # The flush duration is *purely* simulated — the window's span
+            # on the event clock — so simulated-time-to-accuracy benchmarks
+            # are a pure function of the seed on every backend.
+            duration_s=self.sim_time - window.start_time,
+            fit_times=window.fit_times,
+            mode_metrics={
                 "buffer_flush": 1,
                 "model_version": self.model_version,
                 "staleness_mean": (
@@ -476,21 +445,8 @@ class AsyncBufferedMode(ServerMode):
                     float(staleness.max()) if staleness.size else 0.0
                 ),
                 "stale_dropped": stale_dropped,
-                "client_time_max_s": (
-                    max(window.fit_times) if window.fit_times else 0.0
-                ),
-                "client_time_sum_s": sum(window.fit_times),
-                "aggregation_time_s": ctx.aggregation_time_s,
-                "transport_latency_max_s": stats.max_latency_s,
                 "sim_time_s": self.sim_time,
-                **cache_metrics,
-                **recovery_metrics,
-                **ctx.extra_metrics,
-                **ctx.result.metrics,
             },
-            selected_ids=list(window.dispatched_ids),
-            broadcasts_dropped=stats.broadcasts_dropped,
-            submits_dropped=stats.submits_dropped,
         )
 
     # -- checkpointing -------------------------------------------------------

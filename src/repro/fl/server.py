@@ -21,7 +21,9 @@ instantly and the round is bit-identical to the pre-transport loop; a
 rounds with zero delivered updates, which leave the global model
 unchanged), and a ``LatencyChannel`` turns ``duration_s`` into the
 simulated ``max_j(download_j + fit_j + upload_j) + aggregation`` of the
-paper's parallel testbed.
+paper's parallel testbed. A server given no channel or backend builds
+both from its config (``make_channel``/``make_backend``), as it builds its
+round mode.
 """
 
 from __future__ import annotations
@@ -45,7 +47,12 @@ __all__ = ["Server", "RoundContext"]
 
 @dataclass
 class RoundContext:
-    """Mutable state threaded through one round's phases."""
+    """Mutable state threaded through one round's phases.
+
+    A sync round runs all seven on one context; an async dispatch runs
+    broadcast, fit and collect on a one-client context, and a flush runs
+    aggregate, apply and evaluate on another.
+    """
 
     round_idx: int
     participants: list[FLClient] = field(default_factory=list)
@@ -59,11 +66,10 @@ class RoundContext:
     incoming_global: np.ndarray | None = None
     accuracy: float = float("nan")
     extra_metrics: dict = field(default_factory=dict)
-    # Recovery bookkeeping (all zero/False when the knobs are off, so the
+    # Recovery bookkeeping (zero/empty when the knobs are off, so the
     # record stays byte-identical to a knob-free run).
     retry_wait_s: float = 0.0       # simulated backoff time spent on retries
-    stragglers_dropped: int = 0     # delivered submits past the deadline
-    quorum_failed: bool = False     # round skipped below min_quorum
+    late_submits: list[SubmitMessage] = field(default_factory=list)  # past the deadline
 
 
 class Server:
@@ -120,9 +126,9 @@ class Server:
         # also carry the attack success rate on the flipped pairs.
         self.flip_pairs = flip_pairs
         if backend is None:
-            from .parallel import SequentialBackend
+            from .parallel import make_backend
 
-            backend = SequentialBackend()
+            backend = make_backend(config)
         self.backend = backend
         if sampler is None:
             from .sampling import UniformSampler
@@ -130,9 +136,9 @@ class Server:
             sampler = UniformSampler()
         self.sampler = sampler
         if channel is None:
-            from .transport import InMemoryChannel
+            from .transport import make_channel
 
-            channel = InMemoryChannel()
+            channel = make_channel(config)
         self.channel = channel
         if mode is None:
             from .modes import make_server_mode
@@ -202,6 +208,22 @@ class Server:
         }
 
     # -- round phases ---------------------------------------------------------
+    def _open_round(self, round_idx: int) -> None:
+        """Open a sync round or an async flush window.
+
+        Resets the channel's per-round accounting. When the channel
+        carries a :class:`~repro.fl.faults.FaultPlan`, its scheduled
+        worker crashes for this round fire here, before any fit is
+        dispatched — the backend discovers the dead workers, respawns
+        them, and re-installs the affected client recipes.
+        """
+        self.channel.open_round(round_idx)
+        fault_plan = getattr(self.channel, "fault_plan", None)
+        if fault_plan is not None:
+            from .faults import inject_worker_crashes
+
+            inject_worker_crashes(fault_plan, self.backend, round_idx)
+
     def phase_select(self, ctx: RoundContext) -> None:
         """Choose this round's m participants (Alg. 1, line 17)."""
         ctx.participants = self.sample_clients()
@@ -253,18 +275,7 @@ class Server:
         return [delivered[m.client_id] for m in messages if m.client_id in delivered]
 
     def phase_fit(self, ctx: RoundContext) -> None:
-        """Run local training for every client that received the broadcast.
-
-        When the channel carries a :class:`~repro.fl.faults.FaultPlan`,
-        its scheduled worker crashes for this round fire *before* any fit
-        is dispatched — the backend discovers the dead workers, respawns
-        them, and re-installs the affected client recipes.
-        """
-        fault_plan = getattr(self.channel, "fault_plan", None)
-        if fault_plan is not None:
-            from .faults import inject_worker_crashes
-
-            inject_worker_crashes(fault_plan, self.backend, ctx.round_idx)
+        """Run local training for every client that received the broadcast."""
         clients_by_id = {c.client_id: c for c in ctx.participants}
         ctx.submits = self.backend.execute(ctx.delivered_broadcasts, clients_by_id)
 
@@ -274,7 +285,8 @@ class Server:
         Retries mirror the broadcast direction. A ``config.deadline_s``
         then drops delivered submits whose *simulated* link time (download
         latency + upload latency + retry backoff) exceeded the deadline —
-        stragglers, counted separately from transport drops. The deadline
+        stragglers, kept in ``ctx.late_submits`` apart from transport
+        drops (an async slot re-arms when its straggler lands). The deadline
         deliberately ignores wall-clock fit time (``client_time_s``):
         round outcomes must be a pure function of the seed (RG007).
         """
@@ -288,7 +300,7 @@ class Server:
             for sub in ctx.delivered_submits:
                 link_time = down.get(sub.client_id, 0.0) + sub.latency_s
                 if link_time + ctx.retry_wait_s > deadline:
-                    ctx.stragglers_dropped += 1
+                    ctx.late_submits.append(sub)
                 else:
                     on_time.append(sub)
             ctx.delivered_submits = on_time
@@ -316,7 +328,6 @@ class Server:
             if not ctx.updates:
                 metrics["empty_round"] = 1
             if min_quorum and len(ctx.updates) < min_quorum:
-                ctx.quorum_failed = True
                 metrics["quorum_failed"] = 1
                 metrics["quorum_delivered"] = len(ctx.updates)
                 metrics["quorum_required"] = min_quorum
@@ -377,57 +388,38 @@ class Server:
             self._setup_done = True
         return self.mode.run_round(self, round_idx)
 
-    def _make_record(self, ctx: RoundContext) -> RoundRecord:
-        """Fold the round context and transport stats into a RoundRecord."""
+    def _make_record(self, ctx: RoundContext, selected_ids: list[int],
+                     duration_s: float, fit_times: list[float],
+                     mode_metrics: dict) -> RoundRecord:
+        """Fold a finished round (or flush) and its transport stats into a record.
+
+        The metrics every mode shares are built here. ``fit_times`` covers
+        every executed fit (work happens even when the submission is later
+        dropped); ``duration_s`` and ``mode_metrics`` are what only the
+        calling mode knows, the latter placed after the transport latency.
+        """
         stats = self.channel.stats
         accepted = set(ctx.result.accepted_ids)
         malicious_ids = {u.client_id for u in ctx.updates if u.malicious}
-
-        # Compute metrics cover every executed fit (work happens even when
-        # the submission is later dropped); the simulated duration chains
-        # only delivered messages: download + fit + upload per client.
-        fit_times = [s.client_time_s for s in ctx.submits]
-        down_latency = {m.client_id: m.latency_s for m in ctx.delivered_broadcasts}
-        per_client_s = [
-            down_latency.get(s.client_id, 0.0) + s.client_time_s + s.latency_s
-            for s in ctx.delivered_submits
-        ]
-        # Pure *simulated* link time (no wall-clock fit component): the
-        # deterministic per-round clock the async-vs-sync benchmarks use.
-        link_times_s = [
-            down_latency.get(s.client_id, 0.0) + s.latency_s
-            for s in ctx.delivered_submits
-        ]
-        link_time_max_s = (
-            (max(link_times_s) if link_times_s else 0.0) + ctx.retry_wait_s
-        )
-        # Retry backoff is simulated time the whole round waited through;
-        # zero whenever the retry knobs are off.
-        duration_s = (
-            (max(per_client_s) if per_client_s else 0.0)
-            + ctx.aggregation_time_s
-            + ctx.retry_wait_s
-        )
-
-        # Recovery metrics appear only when their knobs are on, keeping
-        # default-config records byte-identical (golden histories).
-        recovery_metrics: dict = {}
+        metrics = {
+            "client_time_max_s": max(fit_times, default=0.0),
+            "client_time_sum_s": sum(fit_times),
+            "aggregation_time_s": ctx.aggregation_time_s,
+            "transport_latency_max_s": stats.max_latency_s,
+            **mode_metrics,
+        }
+        # Decoder-cache and recovery metrics appear only when their knobs
+        # are on, keeping default-config records byte-identical (golden
+        # histories).
+        if getattr(self.channel, "decoder_cache_enabled", False):
+            metrics["decoder_cache_hits"] = stats.decoder_cache_hits
+            metrics["decoder_cache_saved_nbytes"] = stats.decoder_cache_saved_nbytes
         if self.config.retries > 0:
-            recovery_metrics["retry_wait_s"] = ctx.retry_wait_s
+            metrics["retry_wait_s"] = ctx.retry_wait_s
         if self.config.deadline_s > 0.0:
-            recovery_metrics["stragglers_dropped"] = ctx.stragglers_dropped
-
-        # Decoder-cache metrics appear only when the wire cache is on:
-        # default-off runs keep byte-identical records (golden histories).
-        cache_metrics = (
-            {
-                "decoder_cache_hits": stats.decoder_cache_hits,
-                "decoder_cache_saved_nbytes": stats.decoder_cache_saved_nbytes,
-            }
-            if getattr(self.channel, "decoder_cache_enabled", False)
-            else {}
-        )
-
+            metrics["stragglers_dropped"] = len(ctx.late_submits)
+        metrics.update(ctx.extra_metrics)
+        metrics.update(ctx.result.metrics)
         return RoundRecord(
             round_idx=ctx.round_idx,
             accuracy=ctx.accuracy,
@@ -439,18 +431,8 @@ class Server:
             upload_nbytes=stats.upload_nbytes,
             download_nbytes=stats.download_nbytes,
             duration_s=duration_s,
-            metrics={
-                "client_time_max_s": max(fit_times) if fit_times else 0.0,
-                "client_time_sum_s": sum(fit_times),
-                "aggregation_time_s": ctx.aggregation_time_s,
-                "transport_latency_max_s": stats.max_latency_s,
-                "link_time_max_s": link_time_max_s,
-                **cache_metrics,
-                **recovery_metrics,
-                **ctx.extra_metrics,
-                **ctx.result.metrics,
-            },
-            selected_ids=[c.client_id for c in ctx.participants],
+            metrics=metrics,
+            selected_ids=selected_ids,
             broadcasts_dropped=stats.broadcasts_dropped,
             submits_dropped=stats.submits_dropped,
         )

@@ -204,16 +204,6 @@ def build_federation(
         else None
     )
 
-    if channel is None:
-        from .transport import make_channel
-
-        channel = make_channel(config)
-
-    if backend is None:
-        from .parallel import make_backend
-
-        backend = make_backend(config)
-
     return Server(
         population=population,
         strategy=strategy,
@@ -340,7 +330,8 @@ def run_federation(
 
     ``checkpoint_path`` enables periodic checkpoints every
     ``config.checkpoint_every`` rounds; ``resume_from`` restores a prior
-    checkpoint file and continues the run to ``config.rounds``.
+    checkpoint file and continues the run to ``config.rounds``. The
+    backend is closed on return, so a process pool leaves no workers.
     """
     history = None
     if resume_from is not None:
@@ -349,6 +340,9 @@ def run_federation(
         server, history = restore_federation(load_checkpoint(resume_from))
     else:
         server = build_federation(config, strategy, scenario)
-    return server.run(
-        verbose=verbose, history=history, checkpoint_path=checkpoint_path
-    )
+    try:
+        return server.run(
+            verbose=verbose, history=history, checkpoint_path=checkpoint_path
+        )
+    finally:
+        server.backend.close()

@@ -4,9 +4,13 @@ The heavy contracts — golden histories, engine/backend independence,
 mid-buffer checkpoint bit-identity, chaos survival — live in their own
 suites. This file pins the small parts in isolation: the staleness
 weight registry, the mode factory, config/CLI plumbing, the discount
-blend, and the v1→v2 checkpoint compatibility shim.
+blend, and the v1→v2 checkpoint compatibility shim. The recovery paths
+are pinned to full histories recorded before async dispatches ran the
+server's phases (``data/async_recovery_histories.json``).
 """
 
+import json
+import pathlib
 import types
 
 import numpy as np
@@ -15,7 +19,8 @@ import pytest
 from repro.cli import _config_from_args, build_parser
 from repro.config import FederationConfig
 from repro.experiments.scenarios import make_scenario, make_strategy
-from repro.fl import FaultPlan, FaultyChannel, build_federation
+from repro.experiments.storage import history_to_dict
+from repro.fl import FaultPlan, FaultyChannel, Server, build_federation
 from repro.fl.modes import (
     STALENESS_WEIGHTS,
     AsyncBufferedMode,
@@ -92,6 +97,14 @@ class TestConfigValidation:
         # cannot fill would deadlock the event loop.
         with pytest.raises(ValueError, match="buffer_size"):
             async_tiny(buffer_size=7)  # tiny has 6 clients
+
+    def test_quorum_above_flush_size(self):
+        # A flush aggregates at most buffer_size updates: a larger quorum
+        # would skip every flush and freeze the global model.
+        with pytest.raises(ValueError, match="buffer_size"):
+            FederationConfig.tiny(server_mode="async", buffer_size=2,
+                                  min_quorum=3, rounds=3)
+        async_tiny(buffer_size=3, min_quorum=1)  # the async chaos setting
 
     @pytest.mark.parametrize("field,value", [
         ("buffer_size", -1), ("max_staleness", -1), ("async_concurrency", -1),
@@ -209,6 +222,30 @@ def run_async_under(channel, **overrides):
     return server.run()
 
 
+RECORDED = json.loads(
+    (pathlib.Path(__file__).parent / "data" / "async_recovery_histories.json")
+    .read_text()
+)
+
+# Wall-clock metrics; every other field of an async record, duration_s
+# and the transport and event clocks included, is simulated.
+_WALL_CLOCK_METRICS = ("client_time_max_s", "client_time_sum_s",
+                       "aggregation_time_s")
+
+
+def simulated_rounds(history) -> list[dict]:
+    """The history's rounds as JSON data, without wall-clock metrics."""
+    rounds = json.loads(json.dumps(history_to_dict(history)["rounds"]))
+    for record in rounds:
+        for key in _WALL_CLOCK_METRICS:
+            del record["metrics"][key]
+    return rounds
+
+
+def assert_recorded(name: str, history) -> None:
+    assert simulated_rounds(history) == RECORDED[name]
+
+
 class TestAsyncRecovery:
     """The re-arm paths: drops, stragglers, and the dispatch budget."""
 
@@ -235,6 +272,7 @@ class TestAsyncRecovery:
         assert sum(
             r.broadcasts_dropped + r.submits_dropped for r in history.rounds
         ) > 0
+        assert_recorded("broadcast_and_submit_drops", history)
 
     def test_deadline_drops_slow_arrivals_at_dispatch(self):
         from repro.fl.transport import LatencyChannel
@@ -247,6 +285,7 @@ class TestAsyncRecovery:
         ) > 0
         for record in history.rounds:
             assert 1 not in record.sampled_ids
+        assert_recorded("deadline_straggler", history)
 
     def test_submit_only_drops_rearm_after_training(self):
         """A dropped *upload* still trained the client; the slot re-arms
@@ -258,6 +297,7 @@ class TestAsyncRecovery:
         history = run_async_under(channel, rounds=3)
         assert sum(r.submits_dropped for r in history.rounds) > 0
         assert all(len(r.sampled_ids) == 3 for r in history.rounds)
+        assert_recorded("submit_drops", history)
 
     def test_max_staleness_drops_late_arrivals(self):
         """An arrival delayed past the staleness bound is discarded at
@@ -274,6 +314,7 @@ class TestAsyncRecovery:
         assert sum(r.metrics["stale_dropped"] for r in history.rounds) > 0
         for record in history.rounds:
             assert record.metrics["staleness_max"] <= 1
+        assert_recorded("stale_arrival", history)
 
     def test_fully_lossy_channel_hits_budget_not_livelock(self):
         """Every dispatch dropped at the same simulated instant: the
@@ -285,6 +326,7 @@ class TestAsyncRecovery:
         for record in history.rounds:
             assert record.sampled_ids == []
             assert record.metrics["empty_round"] == 1
+        assert_recorded("dispatch_budget", history)
 
 
 class TestServerDelegation:
@@ -300,6 +342,34 @@ class TestServerDelegation:
             async_tiny(), make_strategy("fedavg"), make_scenario("no_attack"),
         )
         assert isinstance(server.mode, AsyncBufferedMode)
+
+    def test_dispatches_run_overridden_phases(self):
+        calls = dict.fromkeys(("broadcast", "fit", "collect"), 0)
+
+        class CountingServer(Server):
+            pass
+
+        for name in calls:
+            def counted(self, ctx, _name=name):
+                calls[_name] += 1
+                return getattr(Server, f"phase_{_name}")(self, ctx)
+
+            setattr(CountingServer, f"phase_{name}", counted)
+
+        config = FederationConfig.tiny(server_mode="async", buffer_size=3,
+                                       rounds=2)
+        stock = build_federation(
+            config, make_strategy("fedavg"), make_scenario("no_attack"),
+        )
+        server = CountingServer(
+            population=stock.population, strategy=stock.strategy,
+            config=config, test_dataset=stock.test_dataset,
+            context=stock.context, rng=stock.rng,
+        )
+        history = server.run()
+        dispatches = sum(len(r.selected_ids) for r in history.rounds)
+        assert dispatches > 0
+        assert calls == dict.fromkeys(calls, dispatches)
 
 
 class TestCheckpointCompat:

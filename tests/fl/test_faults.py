@@ -204,6 +204,20 @@ class TestInjectWorkerCrashes:
             assert len(history.rounds) == 3
             assert backend.respawns == 1
 
+    @pytest.mark.parametrize("server_mode", ["sync", "async"])
+    def test_crashes_fire_once_per_round_or_flush(self, server_mode):
+        # Crashes fire when a round or flush opens. Firing them per async
+        # dispatch would kill and respawn worker 0 several times a flush.
+        plan = FaultPlan().crash_worker(0, round_idx=1).crash_worker(0, round_idx=2)
+        config = FederationConfig.tiny(rounds=2, server_mode=server_mode)
+        with ProcessPoolBackend(max_workers=2) as backend:
+            server = build_federation(
+                config, FedAvg(), no_attack(), backend=backend,
+                channel=FaultyChannel(InMemoryChannel(), plan),
+            )
+            server.run()
+            assert backend.respawns == len(plan.worker_crashes)
+
 
 def run_server(channel=None, strategy=None, rounds=2, **overrides):
     config = FederationConfig.tiny(rounds=rounds, **overrides)

@@ -7,7 +7,8 @@ the refactor must not change. Re-running those cells through the phased
 sampled/accepted/rejected id, and byte count exactly.
 
 Wall-clock fields (``duration_s`` and any ``*_s`` metric) are stripped on
-both sides — they measure the host machine, not the federation.
+both sides — they measure the host machine, not the federation. Async
+cells keep the three that are simulated there (:data:`ASYNC_SIMULATED`).
 
 Spectral and FedCVAE are deliberately absent: the call-count-invariant
 model-factory fix changes their shell initialization (their ``setup``
@@ -51,18 +52,28 @@ def _cell_config(server_mode: str, seed: int, engine: str) -> FederationConfig:
     )
 
 
-def _normalize(data: dict) -> dict:
+# An async flush's duration is its window's span on the event clock, and
+# its transport latency comes from the seeded channel: both are simulated,
+# unlike a sync round's duration_s, which includes wall-clock fit time.
+ASYNC_SIMULATED = ("duration_s", "sim_time_s", "transport_latency_max_s")
+
+
+def _normalize(data: dict, server_mode: str = "sync") -> dict:
     """Strip wall-clock fields and post-refactor-only keys from a history dict."""
+    keep = ASYNC_SIMULATED if server_mode == "async" else ()
     out = {"strategy": data["strategy"], "scenario": data["scenario"], "rounds": []}
     for r in data["rounds"]:
         round_out = {
             k: v
             for k, v in r.items()
-            if k not in ("duration_s", "metrics", "selected_ids",
-                         "broadcasts_dropped", "submits_dropped")
+            if k not in ("metrics", "selected_ids", "broadcasts_dropped",
+                         "submits_dropped")
+            and (k != "duration_s" or k in keep)
         }
         round_out["metrics"] = {
-            k: v for k, v in r.get("metrics", {}).items() if not k.endswith("_s")
+            k: v
+            for k, v in r.get("metrics", {}).items()
+            if not k.endswith("_s") or k in keep
         }
         out["rounds"].append(round_out)
     return out
@@ -102,7 +113,8 @@ def test_history_matches_golden_per_mode(server_mode, cell):
     config = _cell_config(server_mode, seed, engine="loop")
     history = run_cell(config, strategy, scenario)
     golden = GOLDEN_BY_MODE[server_mode][cell]
-    assert _normalize(history_to_dict(history)) == _normalize(golden)
+    assert (_normalize(history_to_dict(history), server_mode)
+            == _normalize(golden, server_mode))
 
 
 @pytest.mark.parametrize("strategy", ["fedavg", "fedguard", "krum"])
@@ -112,7 +124,8 @@ def test_async_golden_is_engine_independent(strategy):
     cell = f"{strategy}__label_flipping_30__seed0"
     config = _cell_config("async", seed=0, engine="batched")
     history = run_cell(config, strategy, "label_flipping_30")
-    assert _normalize(history_to_dict(history)) == _normalize(GOLDEN_ASYNC[cell])
+    assert (_normalize(history_to_dict(history), "async")
+            == _normalize(GOLDEN_ASYNC[cell], "async"))
 
 
 def test_async_golden_covers_all_registered_strategies():

@@ -8,8 +8,10 @@ from repro.attacks import AttackScenario, no_attack
 from repro.config import FederationConfig
 from repro.defenses import FedAvg
 from repro.fl import ClientUpdate, Server
+from repro.fl.batched import BatchedEngine
 from repro.fl.simulation import build_federation
 from repro.fl.strategy import AggregationResult, Strategy
+from repro.fl.transport import LossyChannel
 
 
 class ConstantStrategy(Strategy):
@@ -85,6 +87,24 @@ class TestRoundRecord:
         assert len(history) == 2
         assert history.strategy_name == "fedavg"
         assert history.scenario_name == "no_attack"
+
+
+class TestHandBuiltServer:
+    def test_channel_and_backend_follow_config(self):
+        stock = make_server()
+        config = FederationConfig.tiny(
+            rounds=1, channel="lossy", channel_drop_prob=1.0, engine="batched"
+        )
+        server = Server(
+            clients=list(stock.clients), strategy=FedAvg(), config=config,
+            test_dataset=stock.test_dataset, context=stock.context,
+            rng=np.random.default_rng(0),
+        )
+        assert isinstance(server.channel, LossyChannel)
+        assert isinstance(server.backend.engine, BatchedEngine)
+        record = server.run_round(1)
+        assert record.broadcasts_dropped == config.clients_per_round == 4
+        assert record.sampled_ids == []
 
 
 class TestEvaluate:

@@ -1,11 +1,14 @@
 """Federation assembly tests: determinism and controlled comparisons."""
 
+import multiprocessing
+
 import numpy as np
 import pytest
 
 from repro.attacks import AttackScenario, no_attack
 from repro.config import FederationConfig
 from repro.defenses import FedAvg, FedGuard, Spectral
+from repro.experiments import run_cell
 from repro.fl.simulation import build_federation, run_federation
 
 
@@ -82,3 +85,33 @@ class TestHistoryDerivation:
         comm = history.comm_per_round()
         assert comm["total_bytes"] > 0
         assert comm["server_download_bytes"] > 0
+
+
+class TestBackendLifetime:
+    """``run_federation`` owns the backend it builds and closes it."""
+
+    @staticmethod
+    def _new_children(before) -> list:
+        return [p for p in multiprocessing.active_children() if p not in before]
+
+    def test_process_cell_leaves_no_workers(self):
+        before = set(multiprocessing.active_children())
+        config = FederationConfig.tiny(backend="process", backend_workers=2,
+                                       rounds=1)
+        run_cell(config, "fedavg", "no_attack")
+        assert self._new_children(before) == []
+
+    def test_resumed_process_run_leaves_no_workers(self, tmp_path):
+        config = FederationConfig.tiny(backend="process", backend_workers=2,
+                                       rounds=2)
+        path = tmp_path / "federation.ckpt"
+        server = build_federation(config, FedAvg(), no_attack())
+        try:
+            server.run(rounds=1, checkpoint_path=path, checkpoint_every=1)
+        finally:
+            server.backend.close()
+        before = set(multiprocessing.active_children())
+        history = run_federation(config, FedAvg(), no_attack(),
+                                 resume_from=path)
+        assert len(history.rounds) == 2
+        assert self._new_children(before) == []
