@@ -4,9 +4,9 @@
 Measures, for each backend and federation size, steady-state round
 throughput (rounds/s) and process-boundary traffic (pickled bytes/round)
 with decoders enabled (FedGuard). One warmup round per cell absorbs
-one-time costs — worker start, recipe installation, CVAE training, first
-decoder shipment — so the timed rounds reflect the recurring per-round
-cost the backends actually differ on.
+one-time costs — worker start, building each client from the population,
+CVAE training, first decoder shipment — so the timed rounds reflect the
+recurring per-round cost the backends actually differ on.
 
 The resident pool's bytes are compared against the removed
 ship-everything pool (the seed's design, which re-pickled each sampled
@@ -96,7 +96,7 @@ def bench_cell(kind: str, n_clients: int, timed_rounds: int) -> dict:
     backend = _make_backend(kind)
     try:
         server = build_federation(config, FedGuard(), backend=backend)
-        _run_rounds(server, 1, 1)  # warmup: install/train/first-ship
+        _run_rounds(server, 1, 1)  # warmup: build/train/first-ship
         before = backend.ipc_stats.total_nbytes
         wall_s = _run_rounds(server, 2, timed_rounds)
         ipc_bytes = (backend.ipc_stats.total_nbytes - before) / timed_rounds

@@ -196,11 +196,11 @@ def partition_indices(
 ) -> list[np.ndarray]:
     """Per-client index arrays for the named scheme.
 
-    The index arrays are a partition's portable form: the resident
-    execution backend ships them (instead of the subsetted pixel data) so
-    a worker process can rebuild a client's dataset from the regenerated
-    train pool. ``samples_per_client`` only applies to the ``"virtual"``
-    cross-device scheme (0 = pool size / n_clients).
+    The index arrays are a partition's compact form: a client population
+    packs them once and slices a client's dataset out of the shared train
+    pool when it materializes the client. ``samples_per_client`` only
+    applies to the ``"virtual"`` cross-device scheme (0 = pool size /
+    n_clients).
     """
     if scheme == "dirichlet":
         return dirichlet_partition(labels, n_clients, alpha, rng, min_samples)

@@ -1,6 +1,6 @@
 """Federated-learning simulation layer (the paper's Algorithm 1 substrate)."""
 
-from .client import ClientRecipe, FLClient, train_classifier, train_cvae
+from .client import FLClient, train_classifier, train_cvae
 from .faults import (
     FaultPlan,
     FaultyChannel,
@@ -37,7 +37,6 @@ from .server import RoundContext, Server
 from .simulation import (
     build_federation,
     federation_state,
-    regenerate_train_pool,
     restore_federation,
     run_federation,
 )
@@ -56,7 +55,6 @@ from .updates import ClientUpdate
 
 __all__ = [
     "FLClient",
-    "ClientRecipe",
     "train_classifier",
     "train_cvae",
     "ClientUpdate",
@@ -75,7 +73,6 @@ __all__ = [
     "RoundRecord",
     "build_federation",
     "run_federation",
-    "regenerate_train_pool",
     "federation_state",
     "restore_federation",
     "FaultPlan",

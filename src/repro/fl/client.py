@@ -16,17 +16,14 @@ Attack plumbing mirrors the threat model:
 Per the paper's footnote 5, the partition is static so the CVAE is trained
 once and cached across rounds.
 
-For the worker-resident execution backend
-(:class:`~repro.fl.parallel.ProcessPoolBackend`), a client is described by
-its :class:`ClientRecipe` — partition indices + config + RNG state + attack
-spec — so a worker process can rebuild it locally *once* instead of
-receiving the full pickled state (dataset, model shell, trained CVAE)
-every round.
+With the worker-resident execution backend
+(:class:`~repro.fl.parallel.ProcessPoolBackend`), a worker process builds
+each of its clients once from the server's population and keeps it, so a
+client's dataset, model shell and trained CVAE never cross a process
+boundary.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -37,7 +34,7 @@ from ..data.dataset import Dataset
 from ..models import build_classifier, build_cvae
 from .updates import ClientUpdate
 
-__all__ = ["FLClient", "ClientRecipe", "train_classifier", "train_cvae"]
+__all__ = ["FLClient", "train_classifier", "train_cvae"]
 
 
 def train_classifier(
@@ -112,56 +109,6 @@ def train_cvae(
     return last_epoch_loss
 
 
-@dataclass
-class ClientRecipe:
-    """A client's construction recipe: enough to rebuild it in a worker.
-
-    Two modes:
-
-    * **rebuild** (``partition_indices`` set) — the worker regenerates the
-      federation's seeded training pool once per process, slices this
-      client's partition by index, restores the construction-time RNG
-      state, and replays ``FLClient.__init__`` (including data-poisoning)
-      bit-identically. Only indices, config, RNG state, and the (small)
-      attack/stream objects cross the process boundary.
-    * **snapshot** (``snapshot`` set) — fallback for clients without index
-      provenance or with post-construction state (already fitted, decoder
-      trained): the full client object ships once.
-
-    Attack identity is preserved *within* one pickled recipe batch, so
-    seed-derived colluders placed on the same worker keep sharing state.
-    """
-
-    client_id: int
-    config: FederationConfig
-    partition_indices: np.ndarray | None = None
-    rng_state: dict | None = None
-    attack: Attack | None = None
-    stream: object = None
-    snapshot: "FLClient | None" = field(default=None, repr=False)
-
-    def build(self) -> "FLClient":
-        """Materialize the client inside the current process."""
-        if self.snapshot is not None:
-            return self.snapshot
-        from .simulation import regenerate_train_pool
-
-        pool = regenerate_train_pool(self.config)
-        dataset = pool.subset(self.partition_indices)
-        bit_generator = getattr(np.random, self.rng_state["bit_generator"])()
-        rng = np.random.Generator(bit_generator)
-        rng.bit_generator.state = self.rng_state
-        return FLClient(
-            client_id=self.client_id,
-            dataset=dataset,
-            config=self.config,
-            rng=rng,
-            attack=self.attack,
-            stream=self.stream,
-            partition_indices=self.partition_indices,
-        )
-
-
 class FLClient:
     """One simulated federated participant.
 
@@ -179,11 +126,6 @@ class FLClient:
     attack:
         ``None`` for benign clients; otherwise the installed adversarial
         behaviour.
-    partition_indices:
-        Indices of this client's partition into the federation's seeded
-        training pool (set by ``build_federation``). Enables the cheap
-        rebuild mode of :meth:`make_recipe`; optional for hand-built
-        clients, which fall back to snapshot recipes.
     """
 
     def __init__(
@@ -194,7 +136,6 @@ class FLClient:
         rng: np.random.Generator,
         attack: Attack | None = None,
         stream=None,
-        partition_indices: np.ndarray | None = None,
     ) -> None:
         self.client_id = client_id
         self.config = config
@@ -203,14 +144,6 @@ class FLClient:
         # Dynamic-dataset support (§VI-C): an optional DataStream the
         # client pulls fresh samples from each round.
         self.stream = stream
-        self.partition_indices = (
-            np.asarray(partition_indices, dtype=np.int64)
-            if partition_indices is not None
-            else None
-        )
-        # Construction-time RNG snapshot, captured *before* any draw, so a
-        # recipe rebuild replays data-poisoning and shell init exactly.
-        self._init_rng_state = rng.bit_generator.state
         self._rounds_fit = 0
 
         if isinstance(attack, DataPoisoningAttack):
@@ -224,32 +157,6 @@ class FLClient:
         self._decoder_vector: np.ndarray | None = None
         self._decoder_version = 0
         self.cvae_loss: float = float("nan")
-
-    def make_recipe(self) -> ClientRecipe:
-        """The recipe a worker process rebuilds this client from.
-
-        Cheap rebuild mode requires index provenance and a client that has
-        not evolved past construction (no fits, no trained CVAE) — the
-        exact state a fresh ``build_federation`` produces. Anything else
-        ships as a one-time snapshot instead, never silently wrong.
-        """
-        rebuildable = (
-            self.partition_indices is not None
-            and self._rounds_fit == 0
-            and self._decoder_vector is None
-        )
-        if rebuildable:
-            return ClientRecipe(
-                client_id=self.client_id,
-                config=self.config,
-                partition_indices=self.partition_indices,
-                rng_state=self._init_rng_state,
-                attack=self.attack,
-                stream=self.stream,
-            )
-        return ClientRecipe(
-            client_id=self.client_id, config=self.config, snapshot=self
-        )
 
     # -- checkpointing --------------------------------------------------------
     def state_dict(self) -> dict:

@@ -3,10 +3,10 @@
 The paper's testbed trains 100 clients across GPU nodes in parallel; this
 module provides the equivalent for the simulation.
 :class:`ProcessPoolBackend` is a **worker-resident** pool. Each
-persistent worker process receives its clients' construction recipes
-(:class:`~repro.fl.client.ClientRecipe`: partition indices + config + RNG
-state + attack spec) exactly once, rebuilds them locally, and keeps them
-alive for the whole federation. Thereafter a round ships only
+persistent worker process starts with the server's client population and
+builds a client from it (``population.materialize``: construct, then
+overlay the client's state) the first time a round names that client,
+then keeps it alive for the whole federation. A round ships only
 ``(round_idx, include_decoder, client_ids)`` plus the global weight
 vector — published once per round through
 :mod:`multiprocessing.shared_memory` instead of pickled per client — and
@@ -33,12 +33,14 @@ Notes for users:
   (``AdditiveNoiseAttack``, ``DecoderPoisoningAttack``) is unaffected.
   Run order-dependent colluding attacks on the sequential backend.
 * With the resident backend the *authoritative* client state (dataset,
-  stream position, RNG, trained CVAE) lives in the workers; main-process
-  ``FLClient`` objects stay at their construction-time snapshot, except
-  that uploaded decoder vectors are written back for inspection (the
-  train-once contract of the paper's footnote 5 stays observable).
-  Consequently a federation should run on one backend for its whole
-  lifetime — do not alternate backends mid-run.
+  stream position, RNG, trained CVAE) lives in the workers. The
+  main-process state of a client stays at its construction state, except
+  that each decoder a worker uploads is written back to the checked-out
+  client, so the population carries it from that round on (the
+  train-once contract of the paper's footnote 5 stays observable, and a
+  decoder a worker does not resend is read from there). Consequently a
+  federation should run on one backend for its whole lifetime — do not
+  alternate backends mid-run.
 * Process-boundary cost is tracked in :class:`IPCStats` (pickled bytes in
   each direction), deliberately separate from the transport layer's
   *wire* accounting: IPC bytes measure the simulator, wire bytes model
@@ -141,14 +143,20 @@ class ExecutionBackend:
         """Return (updates, per-client wall times), in client order."""
         raise NotImplementedError
 
-    def client_states(self, client_ids: list[int]) -> dict[int, dict] | None:
-        """Authoritative per-client checkpoint state held by this backend.
+    def attach(self, population) -> None:
+        """Serve the clients of ``population`` (the server calls this once).
 
-        Returns ``None`` when the main-process ``FLClient`` objects *are*
-        the authoritative state (the sequential backend). The resident
-        pool overrides this to harvest state from its workers.
+        A no-op here; the resident pool starts its workers with it.
         """
-        return None
+
+    def client_states(self) -> dict[int, dict]:
+        """Authoritative checkpoint state of the clients this backend holds.
+
+        Empty when the main-process population *is* the authoritative
+        state (the sequential backend). The resident pool overrides this
+        to harvest state from its workers.
+        """
+        return {}
 
     def close(self) -> None:
         """Release any pooled resources (idempotent)."""
@@ -226,8 +234,8 @@ def _pack_update(update: ClientUpdate, elapsed: float,
     """Worker side: reduce one fit result to its minimal IPC payload.
 
     The decoder vector ships only when its version is newer than the last
-    one this worker sent for the client — the main process replays older
-    versions from its store.
+    one this worker sent for the client — the main process reads older
+    versions from the checked-out client.
     """
     decoder = None
     if update.decoder_weights is not None:
@@ -248,26 +256,26 @@ def _pack_update(update: ClientUpdate, elapsed: float,
     }
 
 
-def _resident_worker_main(conn) -> None:
+def _resident_worker_main(conn, population=None, engine_kind: str = "loop") -> None:
     """Event loop of one persistent worker process.
+
+    The worker starts with the server's population and the engine kind (a
+    fork shares both). The first round that names a client builds it with
+    ``population.materialize``; the client then lives here.
 
     Protocol (every message is one pickled tuple over the duplex pipe):
 
-    * ``("install", [ClientRecipe, ...])`` — rebuild and adopt clients;
-      no reply (errors surface on the next round reply).
     * ``("round", round_idx, include_decoder, [client_id, ...],
-      weights_ref, engine_kind)`` — fit the listed resident clients in
-      order with the named training engine; replies
+      weights_ref)`` — fit the listed clients in order; replies
       ``("ok", [packed_update, ...])`` or ``("error", traceback)``.
-    * ``("harvest", [client_id, ...])`` — read-only snapshot of the listed
-      clients' checkpoint state (federation checkpointing); replies
+    * ``("harvest",)`` — read-only snapshot of every client this worker
+      holds (federation checkpointing); replies
       ``("ok", {client_id: state_dict})`` or ``("error", traceback)``.
     * ``("close",)`` — exit.
     """
     clients: dict[int, FLClient] = {}
     shipped_versions: dict[int, int] = {}
-    engines: dict[str, TrainingEngine] = {}
-    pending_error: str | None = None
+    engine = make_engine(engine_kind)
     while True:
         try:
             message = pickle.loads(conn.recv_bytes())
@@ -277,60 +285,43 @@ def _resident_worker_main(conn) -> None:
         if kind == "close":
             conn.close()
             return
-        if kind == "install":
-            try:
-                for recipe in message[1]:
-                    clients[recipe.client_id] = recipe.build()
-            except Exception:  # noqa: BLE001 - forwarded to the main process
-                pending_error = traceback.format_exc()
-            continue
-        if kind == "harvest":
-            try:
-                if pending_error is not None:
-                    raise RuntimeError(f"client install failed:\n{pending_error}")
-                reply = ("ok", {cid: clients[cid].state_dict() for cid in message[1]})
-            except Exception:  # noqa: BLE001 - forwarded to the main process
-                reply = ("error", traceback.format_exc())
-            conn.send_bytes(pickle.dumps(reply, protocol=_PICKLE_PROTOCOL))
-            continue
-        if kind == "round":
-            try:
-                if pending_error is not None:
-                    raise RuntimeError(f"client install failed:\n{pending_error}")
-                (_, round_idx, include_decoder, client_ids,
-                 weights_ref, engine_kind) = message
-                weights = _resolve_weights(weights_ref)
-                engine = engines.get(engine_kind)
-                if engine is None:
-                    engine = engines[engine_kind] = make_engine(engine_kind)
-                group = [clients[cid] for cid in client_ids]
+        try:
+            if kind == "round":
+                _, round_idx, include_decoder, client_ids, weights_ref = message
+                for cid in client_ids:
+                    if cid not in clients:
+                        if population is None:
+                            raise KeyError(f"client {cid}: worker has no population")
+                        clients[cid] = population.materialize(cid)
                 updates, times = engine.fit_clients(
-                    group, weights, include_decoder, round_idx
+                    [clients[cid] for cid in client_ids],
+                    _resolve_weights(weights_ref), include_decoder, round_idx,
                 )
-                results = [
+                reply = ("ok", [
                     _pack_update(update, elapsed, shipped_versions)
                     for update, elapsed in zip(updates, times)
-                ]
-                reply = ("ok", results)
-            except Exception:  # noqa: BLE001 - forwarded to the main process
-                reply = ("error", traceback.format_exc())
-            conn.send_bytes(pickle.dumps(reply, protocol=_PICKLE_PROTOCOL))
-            continue
-        # Unknown tags are a protocol bug on the sender side: reply with
-        # an error instead of silently dropping (the sender is blocked in
-        # recv and would hang forever on a dropped message).
-        reply = ("error", f"unknown message tag {kind!r}")
+                ])
+            elif kind == "harvest":
+                reply = ("ok", {cid: c.state_dict() for cid, c in clients.items()})
+            else:
+                # A protocol bug on the sender side: reply with an error
+                # instead of silently dropping (the sender is blocked in
+                # recv and would hang forever on a dropped message).
+                reply = ("error", f"unknown message tag {kind!r}")
+        except Exception:  # noqa: BLE001 - forwarded to the main process
+            reply = ("error", traceback.format_exc())
         conn.send_bytes(pickle.dumps(reply, protocol=_PICKLE_PROTOCOL))
 
 
 class _WorkerHandle:
     """Main-process handle for one resident worker: process + counted pipe."""
 
-    def __init__(self, ctx, index: int, ipc_stats: IPCStats) -> None:
+    def __init__(self, ctx, index: int, ipc_stats: IPCStats, population,
+                 engine_kind: str) -> None:
         parent_conn, child_conn = ctx.Pipe()
         self.process = ctx.Process(
             target=_resident_worker_main,
-            args=(child_conn,),
+            args=(child_conn, population, engine_kind),
             name=f"repro-resident-worker-{index}",
             daemon=True,
         )
@@ -367,6 +358,11 @@ class _WorkerHandle:
 class ProcessPoolBackend(ExecutionBackend):
     """Persistent worker-resident process pool (see module docstring).
 
+    A backend serves one population at a time: :meth:`attach` with a
+    different population closes the workers started for the previous one,
+    so a pool reused across federations (or for a resume) never trains a
+    previous federation's clients.
+
     Parameters
     ----------
     max_workers:
@@ -385,40 +381,45 @@ class ProcessPoolBackend(ExecutionBackend):
         if engine not in ("loop", "batched"):
             raise ValueError(f"unknown engine kind {engine!r}")
         self.engine_kind = engine
+        self._population = None
         self._workers: list[_WorkerHandle] | None = None
         self._mp_ctx = None
-        self._resident_ids: set[int] = set()
         # The global model the last fit call trained against, and the
         # (attack id, client id) runtime colluders fitted against it.
         self._collusion_psi: np.ndarray | None = None
         self._colluders: set[tuple[int, int]] = set()
-        # client_id -> (decoder_version, θ_j): replay store for updates
-        # whose decoder stayed worker-side (already shipped earlier).
-        self._decoder_store: dict[int, tuple[int, np.ndarray]] = {}
         # Dead workers replaced so far (fault injection / crash recovery).
         self.respawns = 0
 
     # -- pool management -----------------------------------------------------
+    def attach(self, population) -> None:
+        """Serve ``population``; workers started for another one are closed."""
+        if population is not self._population:
+            self.close()
+            self._population = population
+
+    def _start_worker(self, index: int) -> _WorkerHandle:
+        return _WorkerHandle(self._mp_ctx, index, self.ipc_stats,
+                             self._population, self.engine_kind)
+
     def _ensure_workers(self) -> list[_WorkerHandle]:
         if self._workers is None:
             n = self.max_workers or os.cpu_count() or 1
             methods = multiprocessing.get_all_start_methods()
-            # fork shares the main process's regenerated-pool cache and
-            # resource tracker; fall back to the platform default elsewhere.
+            # fork shares the population (nothing pickled) and the resource
+            # tracker; fall back to the platform default elsewhere.
             self._mp_ctx = multiprocessing.get_context(
                 "fork" if "fork" in methods else None
             )
-            self._workers = [
-                _WorkerHandle(self._mp_ctx, i, self.ipc_stats) for i in range(n)
-            ]
+            self._workers = [self._start_worker(i) for i in range(n)]
         return self._workers
 
     # -- crash injection and recovery ---------------------------------------
     def inject_worker_crash(self, worker_idx: int) -> bool:
         """Kill one worker process (fault injection). Returns True if killed.
 
-        The next ``fit_clients`` call notices the dead worker, respawns
-        it, and re-installs the recipes of every client placed on it —
+        The next ``fit_clients`` call notices the dead worker and respawns
+        it; the new worker builds its clients from the population again —
         the recovery path a real preempted node would exercise.
         """
         workers = self._ensure_workers()
@@ -430,11 +431,10 @@ class ProcessPoolBackend(ExecutionBackend):
         return True
 
     def _respawn_worker(self, worker_idx: int) -> None:
-        """Replace a dead worker and forget its resident clients.
+        """Replace a dead worker; its clients are lost with it.
 
-        Dropping the ids from ``_resident_ids`` makes the next dispatch
-        re-ship their recipes (PR 3's install path); rebuilt clients are
-        deterministic functions of their recipes, so a crashed-and-replayed
+        The new worker materializes them from the population when a round
+        names them, exactly as its predecessor did, so a crashed-and-replayed
         federation is reproducible run-to-run.
         """
         workers = self._workers
@@ -447,11 +447,7 @@ class ProcessPoolBackend(ExecutionBackend):
         if old.process.is_alive():  # pragma: no cover - defensive
             old.process.terminate()
             old.process.join(timeout=5)
-        workers[worker_idx] = _WorkerHandle(self._mp_ctx, worker_idx, self.ipc_stats)
-        n = len(workers)
-        self._resident_ids = {
-            cid for cid in self._resident_ids if cid % n != worker_idx
-        }
+        workers[worker_idx] = self._start_worker(worker_idx)
         self.respawns += 1
 
     def _reap_dead_workers(self) -> None:
@@ -469,53 +465,33 @@ class ProcessPoolBackend(ExecutionBackend):
         return ("shm", segment.name, weights.shape, str(weights.dtype)), segment
 
     # -- the round -----------------------------------------------------------
-    def _dispatch_round(self, worker_idx: int, group: list[FLClient],
-                        round_idx: int, include_decoder: bool, ref) -> None:
-        """Install fresh recipes + send the round message to one worker.
+    def _dispatch_round(self, worker_idx: int, round_args: tuple) -> None:
+        """Send ``("round", *round_args)`` to one worker.
 
         A broken pipe (the worker died between the liveness sweep and this
-        send) triggers one respawn-and-replay: the respawn purges the
-        worker's ids from ``_resident_ids``, so the retry re-installs
-        everything the dead worker held. ``_resident_ids`` is only updated
-        *after* a successful send — a failed install never strands ids.
+        send) triggers one respawn-and-resend.
         """
-        workers = self._workers
-        for final in (False, True):
-            fresh = [
-                client.make_recipe() for client in group
-                if client.client_id not in self._resident_ids
-            ]
-            try:
-                if fresh:
-                    workers[worker_idx].send(("install", fresh))
-                workers[worker_idx].send(
-                    ("round", round_idx, include_decoder,
-                     [client.client_id for client in group], ref,
-                     self.engine_kind)
-                )
-                for recipe in fresh:
-                    self._resident_ids.add(recipe.client_id)
-                return
-            except (BrokenPipeError, EOFError, OSError):
-                if final:
-                    raise
-                self._respawn_worker(worker_idx)
+        message = ("round", *round_args)
+        try:
+            self._workers[worker_idx].send(message)
+        except (BrokenPipeError, EOFError, OSError):
+            self._respawn_worker(worker_idx)
+            self._workers[worker_idx].send(message)
 
-    def _collect_round(self, worker_idx: int, group: list[FLClient],
-                       round_idx: int, include_decoder: bool, ref) -> list[dict]:
+    def _collect_round(self, worker_idx: int, round_args: tuple) -> list[dict]:
         """Receive one worker's round reply, surviving a mid-round crash.
 
         If the worker died after dispatch (crash injection mid-fit), it is
-        respawned, its clients re-installed from recipes, and the round
-        replayed once. Replay is deterministic: rebuilt clients restart
-        from their recipe state, exactly as an uninterrupted install would.
+        respawned and the round replayed once. Replay is deterministic: the
+        new worker rebuilds the clients from the population, exactly as
+        the first one did.
         """
         workers = self._workers
         try:
             status, payload = workers[worker_idx].recv()
         except (EOFError, OSError):
             self._respawn_worker(worker_idx)
-            self._dispatch_round(worker_idx, group, round_idx, include_decoder, ref)
+            self._dispatch_round(worker_idx, round_args)
             status, payload = workers[worker_idx].recv()
         if status == "error":
             raise RuntimeError(f"resident worker failed:\n{payload}")
@@ -562,26 +538,24 @@ class ProcessPoolBackend(ExecutionBackend):
         weights = np.ascontiguousarray(global_weights, dtype=np.float64)
         self._reject_runtime_collusion(clients, weights)
         workers = self._ensure_workers()
-        # Replace workers that died since last round (crash injection);
-        # their clients are re-installed from recipes below.
+        # Replace workers that died since last round (crash injection).
         self._reap_dead_workers()
 
+        ref, segment = self._publish_weights(weights)
         # Sticky placement: client_id mod workers, stable for the whole
         # federation, so resident state (CVAE, stream, RNG) never moves.
         n = len(workers)
-        by_worker: dict[int, list[FLClient]] = {
-            worker_idx: group
+        round_args = {
+            worker_idx: (round_idx, include_decoder, ids, ref)
             for worker_idx in range(n)
-            if (group := [c for c in clients if c.client_id % n == worker_idx])
+            if (ids := [c.client_id for c in clients if c.client_id % n == worker_idx])
         }
-
-        ref, segment = self._publish_weights(weights)
         packed_by_id: dict[int, dict] = {}
         # Collection order across workers is free: results are keyed by
         # client id and reassembled in round order below, so the schedule
         # sanitizer may permute which worker is drained first and the
         # histories must not move.
-        collect_items = list(by_worker.items())
+        collect_items = list(round_args.items())
         adversary = schedule_adversary()
         if adversary is not None:
             collect_items = [
@@ -589,15 +563,10 @@ class ProcessPoolBackend(ExecutionBackend):
                 for i in adversary.permutation(len(collect_items))
             ]
         try:
-            for worker_idx, group in by_worker.items():
-                self._dispatch_round(
-                    worker_idx, group, round_idx, include_decoder, ref
-                )
-            for worker_idx, group in collect_items:
-                payload = self._collect_round(
-                    worker_idx, group, round_idx, include_decoder, ref
-                )
-                for packed in payload:
+            for worker_idx, args in round_args.items():
+                self._dispatch_round(worker_idx, args)
+            for worker_idx, args in collect_items:
+                for packed in self._collect_round(worker_idx, args):
                     packed_by_id[packed["client_id"]] = packed
         finally:
             if segment is not None:
@@ -614,56 +583,50 @@ class ProcessPoolBackend(ExecutionBackend):
         self.ipc_stats.rounds += 1
         return updates, times
 
-    def _unpack_update(self, client: FLClient, packed: dict) -> ClientUpdate:
+    @staticmethod
+    def _unpack_update(client: FLClient, packed: dict) -> ClientUpdate:
         decoder = packed["decoder_weights"]
+        version = packed["decoder_version"]
         if decoder is not None:
-            self._decoder_store[packed["client_id"]] = (
-                packed["decoder_version"], np.asarray(decoder, dtype=np.float64),
-            )
-            # Keep the main-process shell inspectable: the train-once CVAE
-            # contract stays observable outside the worker.
-            client._decoder_vector = self._decoder_store[packed["client_id"]][1]
-            client._decoder_version = packed["decoder_version"]
+            # Write the decoder back to the checked-out client: the
+            # population carries it from this round on, and the train-once
+            # CVAE contract stays observable outside the worker.
+            client._decoder_vector = np.asarray(decoder, dtype=np.float64)
+            client._decoder_version = version
         elif packed["has_decoder"]:
-            stored = self._decoder_store.get(packed["client_id"])
-            if stored is None or stored[0] != packed["decoder_version"]:
+            held = client._decoder_version if client._decoder_vector is not None else None
+            if held != version:
                 raise RuntimeError(
                     f"decoder replay miss for client {packed['client_id']}: "
-                    f"worker referenced version {packed['decoder_version']}, "
-                    f"store has {stored[0] if stored else None}"
+                    f"worker referenced version {version}, client has {held}"
                 )
-            decoder = stored[1]
+            decoder = client._decoder_vector
         return ClientUpdate(
             client_id=packed["client_id"],
             weights=packed["weights"],
             num_samples=packed["num_samples"],
             decoder_weights=decoder,
             decoder_classes=packed["decoder_classes"],
-            decoder_version=packed["decoder_version"],
+            decoder_version=version,
             train_loss=packed["train_loss"],
             malicious=packed["malicious"],
         )
 
-    def client_states(self, client_ids: list[int]) -> dict[int, dict] | None:
+    def client_states(self) -> dict[int, dict]:
         """Harvest authoritative checkpoint state from the workers.
 
-        Only clients resident in a worker appear in the result, harvested
-        live. Ids never fitted here are absent, and the caller falls back
-        to the population (which *is* authoritative for them).
+        Each worker answers for the clients it holds, harvested live. Ids
+        no worker holds are absent, and the caller falls back to the
+        population (which *is* authoritative for them).
         """
         if self._workers is None:
             return {}
         self._reap_dead_workers()
-        n = len(self._workers)
-        by_worker: dict[int, list[int]] = {}
-        for cid in client_ids:
-            if cid in self._resident_ids:
-                by_worker.setdefault(cid % n, []).append(cid)
-        for worker_idx, ids in by_worker.items():
-            self._workers[worker_idx].send(("harvest", ids))
+        for worker in self._workers:
+            worker.send(("harvest",))
         harvested: dict[int, dict] = {}
-        for worker_idx in by_worker:
-            status, payload = self._workers[worker_idx].recv()
+        for worker in self._workers:
+            status, payload = worker.recv()
             if status == "error":
                 raise RuntimeError(f"resident worker harvest failed:\n{payload}")
             if status != "ok":
@@ -676,8 +639,6 @@ class ProcessPoolBackend(ExecutionBackend):
             for worker in self._workers:
                 worker.shutdown()
             self._workers = None
-            self._resident_ids.clear()
-            self._decoder_store.clear()
         self._collusion_psi = None
         self._colluders.clear()
 

@@ -291,6 +291,10 @@ class ClientPopulation:
     def size(self) -> int:
         raise NotImplementedError
 
+    def materialize(self, cid: int) -> FLClient:
+        """Client ``cid`` with its current state (a resident worker's source)."""
+        raise NotImplementedError
+
     def checkout(self, ids) -> list[FLClient]:
         """Materialize the sampled clients, in sampled order."""
         raise NotImplementedError
@@ -329,6 +333,9 @@ class EagerPopulation(ClientPopulation):
     @property
     def size(self) -> int:
         return len(self._clients)
+
+    def materialize(self, cid: int) -> FLClient:
+        return self._by_id[cid]
 
     def checkout(self, ids) -> list[FLClient]:
         return [self._clients[int(i)] for i in ids]
@@ -458,15 +465,13 @@ class VirtualClientPopulation(ClientPopulation):
             stream = SynthMnistStream(
                 self._stream_parent.generator(cid), self._synth_cfg
             )
-        part = self._partition.indices_for(cid)
         client = FLClient(
             client_id=cid,
-            dataset=self._pool.subset(part),
+            dataset=self._pool.subset(self._partition.indices_for(cid)),
             config=self._config,
             rng=rng,
             attack=self._attack if self.is_malicious(cid) else None,
             stream=stream,
-            partition_indices=part,
         )
         if cid in self._store:
             client.load_state_dict(self._store.unpack(cid))

@@ -129,6 +129,7 @@ class Server:
             from .parallel import make_backend
 
             backend = make_backend(config)
+        backend.attach(population)
         self.backend = backend
         if sampler is None:
             from .sampling import UniformSampler
@@ -214,8 +215,8 @@ class Server:
         Resets the channel's per-round accounting. When the channel
         carries a :class:`~repro.fl.faults.FaultPlan`, its scheduled
         worker crashes for this round fire here, before any fit is
-        dispatched — the backend discovers the dead workers, respawns
-        them, and re-installs the affected client recipes.
+        dispatched — the backend discovers the dead workers and respawns
+        them, and the new workers rebuild their clients from the population.
         """
         self.channel.open_round(round_idx)
         fault_plan = getattr(self.channel, "fault_plan", None)

@@ -34,7 +34,6 @@ from .strategy import ServerContext, Strategy
 __all__ = [
     "build_federation",
     "run_federation",
-    "regenerate_train_pool",
     "federation_state",
     "restore_federation",
 ]
@@ -51,42 +50,6 @@ CHECKPOINT_VERSION = 4
 # (Spectral). Kept small relative to the training set — the paper's
 # point is that FedGuard needs none of it.
 AUX_FRACTION = 0.05
-
-# Regenerated train pools, keyed by what determines their content. Lets a
-# worker process rebuild a client's dataset from shipped partition indices
-# instead of receiving the pixel data over a pipe; bounded because pools
-# are the largest objects in a run.
-_TRAIN_POOL_CACHE: dict[tuple, object] = {}
-_TRAIN_POOL_CACHE_MAX = 4
-
-
-def _train_pool_key(config: FederationConfig) -> tuple:
-    return (config.seed, config.train_samples, config.model.image_size)
-
-
-def _remember_train_pool(config: FederationConfig, pool) -> None:
-    if len(_TRAIN_POOL_CACHE) >= _TRAIN_POOL_CACHE_MAX:
-        _TRAIN_POOL_CACHE.pop(next(iter(_TRAIN_POOL_CACHE)))
-    _TRAIN_POOL_CACHE[_train_pool_key(config)] = pool
-
-
-def regenerate_train_pool(config: FederationConfig):
-    """Rebuild (or fetch cached) the training pool ``build_federation`` made.
-
-    Replays the seeding discipline's prefix exactly: the root generator's
-    first spawned stream produces the train split *before anything else
-    draws from it*, so a worker process holding only the config recreates
-    bit-identical pixel data. With a fork start method workers usually
-    inherit the cache already warm and regenerate nothing.
-    """
-    key = _train_pool_key(config)
-    pool = _TRAIN_POOL_CACHE.get(key)
-    if pool is None:
-        data_rng = np.random.default_rng(config.seed).spawn(7)[0]
-        synth_cfg = SynthMnistConfig(image_size=config.model.image_size)
-        pool = generate_dataset(config.train_samples, data_rng, synth_cfg)
-        _remember_train_pool(config, pool)
-    return pool
 
 
 def _replay_factory(build, model_config, template_rng: np.random.Generator):
@@ -135,7 +98,6 @@ def build_federation(
 
     synth_cfg = SynthMnistConfig(image_size=config.model.image_size)
     train = generate_dataset(config.train_samples, data_rng, synth_cfg)
-    _remember_train_pool(config, train)  # lets worker recipes skip regeneration
     test = generate_dataset(config.test_samples, data_rng, synth_cfg)
 
     n_aux = max(int(config.train_samples * AUX_FRACTION), 32)
@@ -240,11 +202,10 @@ def federation_state(server: Server, history) -> dict:
     (runtime collusion) are not harvested — but process backends reject
     those scenarios up front, so every checkpointable run is covered.
     """
-    client_ids = server.population.checkpoint_ids()
-    harvested = server.backend.client_states(client_ids) or {}
+    harvested = server.backend.client_states()
     client_states: dict[int, dict] = {
         cid: harvested.get(cid) or server.population.state_for(cid)
-        for cid in client_ids
+        for cid in server.population.checkpoint_ids()
     }
     last_round = history.rounds[-1].round_idx if history.rounds else 0
     return {
@@ -279,10 +240,11 @@ def restore_federation(state: dict, backend=None, sampler=None, channel=None):
     is *not* re-run when the checkpointed run had already passed it — the
     strategy object travels in the pickle with its setup products intact.
 
-    The execution backend is rebuilt fresh (pass ``backend`` to override);
-    resumed clients re-ship to workers as snapshots, carrying their
-    restored RNG/CVAE state, so a resumed run reproduces the uninterrupted
-    one bit-identically on any backend.
+    The execution backend is rebuilt fresh (pass ``backend`` to override;
+    a pool that served another population restarts its workers). Pool
+    workers materialize the resumed clients from the restored population,
+    carrying their RNG/CVAE state, so a resumed run reproduces the
+    uninterrupted one bit-identically on any backend.
     """
     if state.get("format") != "repro-federation-checkpoint":
         raise ValueError("not a federation checkpoint payload")

@@ -163,7 +163,7 @@ class TestLazyClientView:
         a, b = server.clients[2], server.clients[2]
         assert a is not b
         assert a.rng.bit_generator.state == b.rng.bit_generator.state
-        np.testing.assert_array_equal(a.partition_indices, b.partition_indices)
+        np.testing.assert_array_equal(a.dataset.features, b.dataset.features)
 
 
 class TestVirtualClientPopulation:

@@ -1,11 +1,12 @@
-"""Worker-resident backend tests: equivalence, stickiness, and dedup.
+"""Worker-resident backend tests: equivalence, stickiness, reuse, and dedup.
 
 The resident :class:`~repro.fl.parallel.ProcessPoolBackend` keeps clients
-alive inside persistent worker processes and ships recipes once, the
-global vector via shared memory, and each decoder at most once per
-version. None of that may change a single bit of any federation — the
-sequential backend is the referee, across every registered strategy and
-through a lossy channel.
+alive inside persistent worker processes, each built there from the
+server's population the first time a round names it. Rounds ship client
+ids, the global vector via shared memory, and each decoder at most once
+per version. None of that may change a single bit of any federation — the
+sequential backend is the referee, across every registered strategy,
+through a lossy channel, and on a pool reused for another federation.
 """
 
 import multiprocessing
@@ -29,8 +30,8 @@ from repro.fl import (
     build_federation,
     make_backend,
 )
-from repro.fl.client import ClientRecipe
 from repro.fl.parallel import _resident_worker_main
+from repro.fl.simulation import federation_state, restore_federation
 
 
 def _strip_clocks(history) -> dict:
@@ -84,47 +85,51 @@ class TestStickyPlacementAndStreams:
         with ProcessPoolBackend(max_workers=2) as backend:
             server = build_federation(config, FedAvg(), no_attack(), backend=backend)
             server.run(rounds=3)
-            n = len(backend._workers)
-            assert n == 2
+            workers = backend._workers
+            assert len(workers) == 2
             # Sticky mapping is a pure function of the id — nothing to
-            # migrate, nothing to rebalance.
-            assert backend._resident_ids <= {c.client_id for c in server.clients}
+            # migrate, nothing to rebalance: each worker holds only its
+            # own residue class.
+            for index, worker in enumerate(workers):
+                worker.send(("harvest",))
+                reply = worker.recv()
+                held = reply[1]
+                assert reply == ("ok", held) and held
+                assert all(cid % len(workers) == index for cid in held)
 
-    def test_recipe_rebuild_matches_original_client(self):
-        """A recipe rebuilt in-process is indistinguishable from the
-        original: same data (post-poisoning), same RNG stream."""
-        config = FederationConfig.tiny()
-        scenario = AttackScenario.label_flipping(0.5)
-        server = build_federation(config, FedAvg(), scenario)
-        for client in server.clients:
-            recipe = client.make_recipe()
-            assert recipe.snapshot is None  # fresh clients rebuild cheaply
-            clone = recipe.build()
-            np.testing.assert_array_equal(clone.dataset.labels, client.dataset.labels)
-            np.testing.assert_array_equal(
-                clone.dataset.features, client.dataset.features
-            )
-            assert clone.rng.bit_generator.state == client.rng.bit_generator.state
 
-    def test_evolved_client_falls_back_to_snapshot(self):
-        config = FederationConfig.tiny()
-        server = build_federation(config, FedAvg(), no_attack())
-        client = server.clients[0]
-        client.fit(server.global_weights, include_decoder=False)
-        recipe = client.make_recipe()
-        assert recipe.snapshot is client
+class TestPoolReuse:
+    """A pool serves one population at a time; reusing it must not keep
+    training the previous federation's clients."""
 
-    def test_handmade_client_without_indices_snapshots(self):
-        from repro.fl import FLClient
-        from repro.fl.simulation import regenerate_train_pool
-
-        config = FederationConfig.tiny()
-        pool = regenerate_train_pool(config)
-        client = FLClient(
-            client_id=0, dataset=pool.subset(np.arange(20)), config=config,
-            rng=np.random.default_rng(1),
+    @staticmethod
+    def _config(**overrides):
+        return FederationConfig.tiny(
+            local_epochs=3, client_lr=0.2, train_samples=600, **overrides
         )
-        assert client.make_recipe().snapshot is client
+
+    def test_next_federation_matches_sequential(self):
+        config = self._config(rounds=3)
+        seq = build_federation(config.replace(seed=1), FedAvg(), no_attack()).run()
+        with ProcessPoolBackend(max_workers=2) as backend:
+            build_federation(config, FedAvg(), no_attack(), backend=backend).run()
+            reused = build_federation(
+                config.replace(seed=1), FedAvg(), no_attack(), backend=backend
+            ).run()
+        assert _strip_clocks(seq) == _strip_clocks(reused)
+
+    def test_resume_onto_the_same_pool_matches_sequential(self):
+        config = self._config(rounds=4)
+        seq = build_federation(config, FedAvg(), no_attack()).run()
+        with ProcessPoolBackend(max_workers=2) as backend:
+            server = build_federation(config, FedAvg(), no_attack(), backend=backend)
+            history = server.run(rounds=2)
+            state = pickle.loads(pickle.dumps(federation_state(server, history)))
+            # The workers advance their clients past the checkpoint.
+            server.run(history=history)
+            resumed_server, resumed = restore_federation(state, backend=backend)
+            resumed = resumed_server.run(history=resumed)
+        assert _strip_clocks(seq) == _strip_clocks(resumed)
 
 
 class TestRuntimeCollusionRejection:
@@ -196,7 +201,9 @@ class TestRuntimeCollusionRejection:
 @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
                     reason="drives the worker over a forked pipe")
 class TestWorkerProtocol:
-    def test_unknown_tag_answered_and_close_exits(self):
+    @pytest.fixture
+    def worker(self):
+        """A worker started without a population, and its pipe."""
         ctx = multiprocessing.get_context("fork")
         conn, child_conn = ctx.Pipe()
         worker = ctx.Process(target=_resident_worker_main, args=(child_conn,),
@@ -204,29 +211,58 @@ class TestWorkerProtocol:
         worker.start()
         child_conn.close()
         try:
-            # The pool speaks install/round/harvest/close only; any other
-            # tag gets an error reply instead of leaving the sender blocked.
-            conn.send_bytes(pickle.dumps(("evict", [0])))
-            assert conn.poll(5), "worker dropped an unknown tag without a reply"
-            assert pickle.loads(conn.recv_bytes()) == (
-                "error", "unknown message tag 'evict'"
-            )
-            conn.send_bytes(pickle.dumps(("close",)))
-            worker.join(timeout=5)
-            assert worker.exitcode == 0
+            yield worker, conn
         finally:
             conn.close()
             if worker.is_alive():
                 worker.kill()
                 worker.join()
 
+    @staticmethod
+    def _ask(conn, message):
+        conn.send_bytes(pickle.dumps(message))
+        assert conn.poll(5), f"worker dropped {message[0]!r} without a reply"
+        return pickle.loads(conn.recv_bytes())
+
+    def test_unknown_tag_answered_and_close_exits(self, worker):
+        process, conn = worker
+        # The pool speaks round/harvest/close only; any other tag, the
+        # retired install included, gets an error reply instead of
+        # leaving the sender blocked.
+        for message in (("evict", [0]), ("install", [])):
+            assert self._ask(conn, message) == (
+                "error", f"unknown message tag {message[0]!r}"
+            )
+        conn.send_bytes(pickle.dumps(("close",)))
+        process.join(timeout=5)
+        assert process.exitcode == 0
+
+    def test_unknown_client_answered_with_error(self, worker):
+        _, conn = worker
+        # Nothing to build client 3 from: the round fails loudly, and the
+        # worker keeps serving.
+        status, payload = self._ask(
+            conn, ("round", 1, False, [3], ("inline", np.zeros(4)))
+        )
+        assert status == "error"
+        assert "client 3" in payload
+        assert self._ask(conn, ("harvest",)) == ("ok", {})
+
 
 class TestDecoderDedup:
+    def test_first_round_ships_only_ids(self):
+        # Workers build their clients from the population they started
+        # with, so even round 1 sends one short round message per worker.
+        config = FederationConfig.tiny(rounds=1)
+        with ProcessPoolBackend(max_workers=2) as backend:
+            build_federation(config, FedGuard(), no_attack(), backend=backend).run()
+            assert backend.ipc_stats.bytes_sent < 1024
+
     def test_steady_state_rounds_ship_only_vectors(self):
-        """The whole point: after installation, rounds move vectors and
-        scalars — not datasets, models, or repeated decoders."""
-        # Full participation: round 1 installs every client and ships
-        # every decoder; rounds 2 and 3 are the steady state.
+        """The whole point: rounds move vectors and scalars — not
+        datasets, models, or repeated decoders."""
+        # Full participation: round 1 builds every client and ships every
+        # decoder; rounds 2 and 3 are the steady state.
         config = FederationConfig.tiny(rounds=3, clients_per_round=6)
         with ProcessPoolBackend(max_workers=2) as backend:
             server = build_federation(
@@ -238,11 +274,11 @@ class TestDecoderDedup:
             for round_idx in (2, 3):
                 sent, received = stats.bytes_sent, stats.bytes_received
                 server.run_round(round_idx)
-                # One round message per worker and no recipes: the global
-                # vector itself travels through shared memory.
+                # One round message per worker: the global vector itself
+                # travels through shared memory.
                 assert stats.bytes_sent - sent < 1024
-                # Per client, one update vector plus scalars; decoders
-                # replay from the main-process store.
+                # Per client, one update vector plus scalars; decoders are
+                # read from the checked-out clients.
                 assert stats.bytes_received - received <= (
                     config.clients_per_round * per_update
                 )
@@ -258,10 +294,10 @@ class TestDecoderDedup:
             after_first = backend.ipc_stats.bytes_received
             server.run_round(2)
             second_round = backend.ipc_stats.bytes_received - after_first
-            assert len(backend._decoder_store) == 6
-        # Round 2 re-samples only trained clients: their decoders replay
-        # from the main-process store instead of recrossing the pipe, so
-        # the round sheds the decoder share of the payload entirely.
+            assert sum(c._decoder_vector is not None for c in server.clients) == 6
+        # Round 2 re-samples only trained clients: the population carries
+        # their decoders, so none recrosses the pipe and the round sheds
+        # the decoder share of the payload entirely.
         assert second_round < after_first * 0.6
 
     def test_wire_cache_drops_upload_bytes_keeps_results(self):
@@ -300,18 +336,3 @@ class TestMakeBackend:
         for kind in ("threads", "process_legacy"):
             with pytest.raises(ValueError, match="backend"):
                 FederationConfig.tiny(backend=kind)
-
-    def test_recipe_roundtrips_through_pickle(self):
-        import pickle
-
-        config = FederationConfig.tiny()
-        server = build_federation(config, FedAvg(), no_attack())
-        recipe = server.clients[0].make_recipe()
-        clone = pickle.loads(pickle.dumps(recipe)).build()
-        assert isinstance(clone, type(server.clients[0]))
-        np.testing.assert_array_equal(
-            clone.dataset.labels, server.clients[0].dataset.labels
-        )
-
-    def test_recipe_type_importable(self):
-        assert ClientRecipe.__name__ == "ClientRecipe"

@@ -21,7 +21,7 @@ from repro.fl.simulation import build_federation, federation_state, restore_fede
 
 
 def build_eager_clients(config, scenario):
-    """Test-only oracle: one live client per id, all built up front.
+    """Test-only oracle: the partition and one live client per id, built up front.
 
     Replays ``build_federation``'s seeding discipline by hand — the root
     stream spawned into the same seven children in the same order, the
@@ -53,7 +53,7 @@ def build_eager_clients(config, scenario):
             SynthMnistStream(rng, synth_cfg)
             for rng in data_rng.spawn(config.n_clients)
         ]
-    return [
+    return parts, [
         FLClient(
             client_id=cid,
             dataset=train.subset(parts[cid]),
@@ -61,14 +61,13 @@ def build_eager_clients(config, scenario):
             rng=client_rngs[cid],
             attack=scenario.attack if cid in malicious_ids else None,
             stream=streams[cid],
-            partition_indices=parts[cid],
         )
         for cid in range(config.n_clients)
     ]
 
 
 def build_pair(seed, n_clients, scheme, scenario_name, streaming=False):
-    """(lazy_server, eager_clients) for one configuration."""
+    """(lazy_server, (eager_parts, eager_clients)) for one configuration."""
     overrides = dict(
         seed=seed,
         n_clients=n_clients,
@@ -90,12 +89,12 @@ def build_pair(seed, n_clients, scheme, scenario_name, streaming=False):
     return lazy, build_eager_clients(config, SCENARIO_FACTORIES[scenario_name]())
 
 
-def assert_clients_identical(lazy_client, eager_client, check_stream=False):
-    assert lazy_client.client_id == eager_client.client_id
+def assert_clients_identical(population, eager, cid, check_stream=False):
+    parts, eager_clients = eager
+    lazy_client, eager_client = population.materialize(cid), eager_clients[cid]
+    assert lazy_client.client_id == eager_client.client_id == cid
     assert lazy_client.rng.bit_generator.state == eager_client.rng.bit_generator.state
-    np.testing.assert_array_equal(
-        lazy_client.partition_indices, eager_client.partition_indices
-    )
+    np.testing.assert_array_equal(population.partition.indices_for(cid), parts[cid])
     assert lazy_client.is_malicious == eager_client.is_malicious
     np.testing.assert_array_equal(
         lazy_client.dataset.features, eager_client.dataset.features
@@ -123,31 +122,22 @@ class TestLazyEagerEquivalence:
     def test_every_client_constructs_identically(
         self, seed, n_clients, scheme, scenario
     ):
-        lazy, eager_clients = build_pair(seed, n_clients, scheme, scenario)
+        lazy, eager = build_pair(seed, n_clients, scheme, scenario)
         for cid in range(n_clients):
-            assert_clients_identical(
-                lazy.population.materialize(cid), eager_clients[cid]
-            )
+            assert_clients_identical(lazy.population, eager, cid)
 
     @given(seed=st.integers(0, 2**31 - 1))
     @settings(max_examples=5, deadline=None)
     def test_streaming_clients_draw_identically(self, seed):
-        lazy, eager_clients = build_pair(
-            seed, 8, "iid", "no_attack", streaming=True
-        )
+        lazy, eager = build_pair(seed, 8, "iid", "no_attack", streaming=True)
         for cid in range(8):
-            assert_clients_identical(
-                lazy.population.materialize(cid), eager_clients[cid],
-                check_stream=True,
-            )
+            assert_clients_identical(lazy.population, eager, cid, check_stream=True)
 
     def test_equivalence_at_scale(self):
         # A few hundred clients: construction-level equality, no training.
-        lazy, eager_clients = build_pair(0, 300, "virtual", "label_flipping_30")
+        lazy, eager = build_pair(0, 300, "virtual", "label_flipping_30")
         for cid in (0, 1, 149, 298, 299):
-            assert_clients_identical(
-                lazy.population.materialize(cid), eager_clients[cid]
-            )
+            assert_clients_identical(lazy.population, eager, cid)
 
 
 class TestPackedStateRoundTrip:
