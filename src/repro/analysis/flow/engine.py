@@ -68,7 +68,9 @@ __all__ = [
 
 # v4: RG105 gained the float-reduction and heap-push sinks, which cached
 # results of earlier engines lack; bumping the version invalidates them.
-ENGINE_VERSION = 4
+# v5: RG103 counts a function as a receiver only when it handles a tag
+# the module sends, so cached findings of the older rule are stale.
+ENGINE_VERSION = 5
 MAX_ROUNDS = 8
 
 FLOW_RULE_DESCRIPTIONS = {

@@ -9,10 +9,13 @@ needed, but impossible for a line-oriented linter:
   *dispatch branches* that consume tags (comparisons of a variable bound
   from ``message[0]`` or from tuple-unpacking a ``recv()``, plus
   ``match`` cases). A tag sent but never dispatched is the
-  ``("harvest", ids)`` class of bug: the worker silently drops the
+  ``("evict", ids)`` class of bug: the worker silently drops the
   message. A tag dispatched but never sent is dead protocol. The rule
   only activates in modules that contain *both* sides — the
-  single-module worker-pool pattern of :mod:`repro.fl.parallel`.
+  single-module worker-pool pattern of :mod:`repro.fl.parallel`. A
+  function counts as a receiver only when it dispatches on a tag the
+  module sends, so a module that sends requests and checks a reply's
+  ``status == "ok"`` is a sender whose receiver lives elsewhere.
 
 * **RG104** pairs state *writers* with their *readers* —
   ``federation_state`` / ``restore_federation`` at module level and
@@ -181,18 +184,19 @@ def _scopes(tree: ast.Module):
             yield node
 
 
-def _handled_tags(tree: ast.Module) -> dict[str, ast.AST]:
-    """tag -> first comparison/match site consuming it."""
-    tags: dict[str, ast.AST] = {}
+def _handled_tags(tree: ast.Module) -> list[dict[str, ast.AST]]:
+    """Per function: tag -> first comparison/match site consuming it."""
+    handled: list[dict[str, ast.AST]] = []
 
     def add(value: object, site: ast.AST) -> None:
         if isinstance(value, str):
-            tags.setdefault(value, site)
+            handled[-1].setdefault(value, site)
 
     for scope in _scopes(tree):
         tag_vars, msg_vars = _dispatch_vars(scope)
         if not tag_vars and not msg_vars:
             continue
+        handled.append({})
         for node in ast.walk(scope):
             if isinstance(node, ast.Compare) and _is_tag_expr(
                 node.left, tag_vars, msg_vars
@@ -217,16 +221,22 @@ def _handled_tags(tree: ast.Module) -> dict[str, ast.AST]:
                         pattern.value, ast.Constant
                     ):
                         add(pattern.value.value, case.pattern)
-    return tags
+    return handled
 
 
 def check_rg103(module: ModuleInfo) -> list[Finding]:
     tree = module.tree
     sent = _sent_tags(tree)
-    handled = _handled_tags(tree)
-    # Only modules implementing both protocol sides are in scope:
-    # a sender whose receiver lives elsewhere is not checkable here.
-    if not sent or not handled:
+    # Only modules implementing both protocol sides are in scope: a
+    # sender whose receiver lives elsewhere is not checkable here, even
+    # when it dispatches on its replies' status tags.
+    handled: dict[str, ast.AST] = {}
+    for tags in _handled_tags(tree):
+        if not tags.keys() & sent.keys():
+            continue
+        for tag, site in tags.items():
+            handled.setdefault(tag, site)
+    if not handled:
         return []
     findings = []
     for tag, site in sorted(sent.items()):

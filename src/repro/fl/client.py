@@ -18,9 +18,12 @@ once and cached across rounds.
 
 With the worker-resident execution backend
 (:class:`~repro.fl.parallel.ProcessPoolBackend`), a worker process builds
-each of its clients once from the server's population and keeps it, so a
-client's dataset, model shell and trained CVAE never cross a process
-boundary.
+each of its clients from the server's population and keeps it as a
+cache, so a client's dataset and model shell do not cross a process
+boundary. After each fit the worker returns the client's
+:meth:`FLClient.state_dict` with its update (the decoder once per
+version), and the main-process population stores it, as on the
+sequential backend.
 """
 
 from __future__ import annotations

@@ -6,16 +6,18 @@ module provides the equivalent for the simulation.
 persistent worker process starts with the server's client population and
 builds a client from it (``population.materialize``: construct, then
 overlay the client's state) the first time a round names that client,
-then keeps it alive for the whole federation. A round ships only
+then keeps it as a cache. A round ships only
 ``(round_idx, include_decoder, client_ids)`` plus the global weight
 vector — published once per round through
 :mod:`multiprocessing.shared_memory` instead of pickled per client — and
-receives back only the update vector, scalars, and (first time per
-:attr:`~repro.fl.updates.ClientUpdate.decoder_version`) the CVAE decoder.
-Client→worker placement is **sticky** (``client_id mod workers``), so
-trained CVAEs, streamed datasets, and RNG streams never cross a process
-boundary again — as on the paper's testbed, where each client's data and
-CVAE stay on its own node.
+receives back, per fitted client, the update vector, scalars and the
+client's ``state_dict()``, with the CVAE decoder only the first time per
+:attr:`~repro.fl.updates.ClientUpdate.decoder_version`. Client→worker
+placement is **sticky** (``client_id mod workers``) because a worker's
+forked copy of the population goes stale: the worker that fitted a
+client last is the one holding it current, so datasets, models and
+trained CVAEs do not cross a process boundary again — as on the paper's
+testbed, where each client's data and CVAE stay on its own node.
 
 Notes for users:
 
@@ -32,15 +34,15 @@ Notes for users:
   mis-simulating the attack. Seed-derived collusion
   (``AdditiveNoiseAttack``, ``DecoderPoisoningAttack``) is unaffected.
   Run order-dependent colluding attacks on the sequential backend.
-* With the resident backend the *authoritative* client state (dataset,
-  stream position, RNG, trained CVAE) lives in the workers. The
-  main-process state of a client stays at its construction state, except
-  that each decoder a worker uploads is written back to the checked-out
-  client, so the population carries it from that round on (the
-  train-once contract of the paper's footnote 5 stays observable, and a
-  decoder a worker does not resend is read from there). Consequently a
-  federation should run on one backend for its whole lifetime — do not
-  alternate backends mid-run.
+* The main-process population is the record of client state on every
+  backend. The pool loads each returned state into the checked-out
+  client, and the round's ``population.checkin`` stores it, exactly as
+  on the sequential backend. A pool's resident clients are a cache that
+  :meth:`ProcessPoolBackend.close` discards: a respawned or restarted
+  worker builds its clients from a population that is already current,
+  so losing a worker loses nothing, and a checkpoint reads the
+  population alone. The cache stays valid while this pool is the only
+  backend fitting the population's clients.
 * Process-boundary cost is tracked in :class:`IPCStats` (pickled bytes in
   each direction), deliberately separate from the transport layer's
   *wire* accounting: IPC bytes measure the simulator, wire bytes model
@@ -149,15 +151,6 @@ class ExecutionBackend:
         A no-op here; the resident pool starts its workers with it.
         """
 
-    def client_states(self) -> dict[int, dict]:
-        """Authoritative checkpoint state of the clients this backend holds.
-
-        Empty when the main-process population *is* the authoritative
-        state (the sequential backend). The resident pool overrides this
-        to harvest state from its workers.
-        """
-        return {}
-
     def close(self) -> None:
         """Release any pooled resources (idempotent)."""
 
@@ -229,31 +222,25 @@ def _resolve_weights(ref):
     return ref[1]
 
 
-def _pack_update(update: ClientUpdate, elapsed: float,
-                 shipped_versions: dict[int, int]) -> dict:
-    """Worker side: reduce one fit result to its minimal IPC payload.
+def _pack_fit(client: FLClient, update: ClientUpdate, elapsed: float,
+              shipped_versions: dict[int, int]) -> tuple:
+    """Worker side: one fitted client's reply, ``(update, state, elapsed)``.
 
-    The decoder vector ships only when its version is newer than the last
-    one this worker sent for the client — the main process reads older
-    versions from the checked-out client.
+    ``state`` is the client's ``state_dict()``; the update crosses without
+    its decoder, which the main process reads back from the loaded state.
+    The state's decoder ships only when its version is newer than the
+    last one this worker sent for the client; otherwise its key is left
+    out, and the main process keeps the version the checked-out client
+    already holds.
     """
-    decoder = None
-    if update.decoder_weights is not None:
-        if shipped_versions.get(update.client_id) != update.decoder_version:
-            decoder = update.decoder_weights
-            shipped_versions[update.client_id] = update.decoder_version
-    return {
-        "client_id": update.client_id,
-        "weights": update.weights,
-        "num_samples": update.num_samples,
-        "has_decoder": update.decoder_weights is not None,
-        "decoder_weights": decoder,
-        "decoder_version": update.decoder_version,
-        "decoder_classes": update.decoder_classes,
-        "train_loss": update.train_loss,
-        "malicious": update.malicious,
-        "elapsed_s": elapsed,
-    }
+    state = client.state_dict()
+    update.decoder_weights = None
+    if state["decoder_vector"] is not None:
+        if shipped_versions.get(client.client_id) == state["decoder_version"]:
+            del state["decoder_vector"]
+        else:
+            shipped_versions[client.client_id] = state["decoder_version"]
+    return update, state, elapsed
 
 
 def _resident_worker_main(conn, population=None, engine_kind: str = "loop") -> None:
@@ -261,16 +248,15 @@ def _resident_worker_main(conn, population=None, engine_kind: str = "loop") -> N
 
     The worker starts with the server's population and the engine kind (a
     fork shares both). The first round that names a client builds it with
-    ``population.materialize``; the client then lives here.
+    ``population.materialize``; the worker then keeps it as a cache, since
+    every reply returns the fitted clients' states to the population.
 
     Protocol (every message is one pickled tuple over the duplex pipe):
 
     * ``("round", round_idx, include_decoder, [client_id, ...],
       weights_ref)`` — fit the listed clients in order; replies
-      ``("ok", [packed_update, ...])`` or ``("error", traceback)``.
-    * ``("harvest",)`` — read-only snapshot of every client this worker
-      holds (federation checkpointing); replies
-      ``("ok", {client_id: state_dict})`` or ``("error", traceback)``.
+      ``("ok", [(update, state, elapsed), ...])`` or
+      ``("error", traceback)``.
     * ``("close",)`` — exit.
     """
     clients: dict[int, FLClient] = {}
@@ -293,16 +279,15 @@ def _resident_worker_main(conn, population=None, engine_kind: str = "loop") -> N
                         if population is None:
                             raise KeyError(f"client {cid}: worker has no population")
                         clients[cid] = population.materialize(cid)
+                fitted = [clients[cid] for cid in client_ids]
                 updates, times = engine.fit_clients(
-                    [clients[cid] for cid in client_ids],
-                    _resolve_weights(weights_ref), include_decoder, round_idx,
+                    fitted, _resolve_weights(weights_ref), include_decoder,
+                    round_idx,
                 )
                 reply = ("ok", [
-                    _pack_update(update, elapsed, shipped_versions)
-                    for update, elapsed in zip(updates, times)
+                    _pack_fit(client, update, elapsed, shipped_versions)
+                    for client, update, elapsed in zip(fitted, updates, times)
                 ])
-            elif kind == "harvest":
-                reply = ("ok", {cid: c.state_dict() for cid, c in clients.items()})
             else:
                 # A protocol bug on the sender side: reply with an error
                 # instead of silently dropping (the sender is blocked in
@@ -419,8 +404,9 @@ class ProcessPoolBackend(ExecutionBackend):
         """Kill one worker process (fault injection). Returns True if killed.
 
         The next ``fit_clients`` call notices the dead worker and respawns
-        it; the new worker builds its clients from the population again —
-        the recovery path a real preempted node would exercise.
+        it; the new worker builds its clients from the population, which
+        holds their state as of their last fit — the recovery path a real
+        preempted node would exercise, and nothing is lost.
         """
         workers = self._ensure_workers()
         handle = workers[worker_idx % len(workers)]
@@ -431,11 +417,11 @@ class ProcessPoolBackend(ExecutionBackend):
         return True
 
     def _respawn_worker(self, worker_idx: int) -> None:
-        """Replace a dead worker; its clients are lost with it.
+        """Replace a dead worker; only its cached clients go with it.
 
-        The new worker materializes them from the population when a round
-        names them, exactly as its predecessor did, so a crashed-and-replayed
-        federation is reproducible run-to-run.
+        The new worker starts from the current population and materializes
+        each client when a round names it, so a crashed run equals the
+        crash-free run bit for bit.
         """
         workers = self._workers
         old = workers[worker_idx]
@@ -482,9 +468,9 @@ class ProcessPoolBackend(ExecutionBackend):
         """Receive one worker's round reply, surviving a mid-round crash.
 
         If the worker died after dispatch (crash injection mid-fit), it is
-        respawned and the round replayed once. Replay is deterministic: the
-        new worker rebuilds the clients from the population, exactly as
-        the first one did.
+        respawned and the round replayed once. Replay is exact: the
+        population still holds every client's state from before this
+        round, so the new worker fits the same clients the dead one did.
         """
         workers = self._workers
         try:
@@ -550,7 +536,7 @@ class ProcessPoolBackend(ExecutionBackend):
             for worker_idx in range(n)
             if (ids := [c.client_id for c in clients if c.client_id % n == worker_idx])
         }
-        packed_by_id: dict[int, dict] = {}
+        packed_by_id: dict[int, tuple] = {}
         # Collection order across workers is free: results are keyed by
         # client id and reassembled in round order below, so the schedule
         # sanitizer may permute which worker is drained first and the
@@ -567,72 +553,44 @@ class ProcessPoolBackend(ExecutionBackend):
                 self._dispatch_round(worker_idx, args)
             for worker_idx, args in collect_items:
                 for packed in self._collect_round(worker_idx, args):
-                    packed_by_id[packed["client_id"]] = packed
+                    packed_by_id[packed[0].client_id] = packed
         finally:
             if segment is not None:
                 segment.close()
                 segment.unlink()
 
         # Reassemble in round order.
-        packed_in_order = [packed_by_id[client.client_id] for client in clients]
-        updates = [
-            self._unpack_update(client, packed)
-            for client, packed in zip(clients, packed_in_order)
-        ]
-        times = [packed["elapsed_s"] for packed in packed_in_order]
+        updates, times = [], []
+        for client in clients:
+            update, state, elapsed = packed_by_id[client.client_id]
+            updates.append(self._unpack_update(client, update, state, include_decoder))
+            times.append(elapsed)
         self.ipc_stats.rounds += 1
         return updates, times
 
     @staticmethod
-    def _unpack_update(client: FLClient, packed: dict) -> ClientUpdate:
-        decoder = packed["decoder_weights"]
-        version = packed["decoder_version"]
-        if decoder is not None:
-            # Write the decoder back to the checked-out client: the
-            # population carries it from this round on, and the train-once
-            # CVAE contract stays observable outside the worker.
-            client._decoder_vector = np.asarray(decoder, dtype=np.float64)
-            client._decoder_version = version
-        elif packed["has_decoder"]:
+    def _unpack_update(client: FLClient, update: ClientUpdate, state: dict,
+                       include_decoder: bool) -> ClientUpdate:
+        """Load a worker's post-fit state into the checked-out client.
+
+        The round's ``population.checkin`` then stores it, as on the
+        sequential backend. A state without ``decoder_vector`` refers to
+        the version the checked-out client already holds; the update's
+        decoder is the loaded client's.
+        """
+        if "decoder_vector" not in state:
+            version = state["decoder_version"]
             held = client._decoder_version if client._decoder_vector is not None else None
             if held != version:
                 raise RuntimeError(
-                    f"decoder replay miss for client {packed['client_id']}: "
+                    f"decoder replay miss for client {client.client_id}: "
                     f"worker referenced version {version}, client has {held}"
                 )
-            decoder = client._decoder_vector
-        return ClientUpdate(
-            client_id=packed["client_id"],
-            weights=packed["weights"],
-            num_samples=packed["num_samples"],
-            decoder_weights=decoder,
-            decoder_classes=packed["decoder_classes"],
-            decoder_version=version,
-            train_loss=packed["train_loss"],
-            malicious=packed["malicious"],
-        )
-
-    def client_states(self) -> dict[int, dict]:
-        """Harvest authoritative checkpoint state from the workers.
-
-        Each worker answers for the clients it holds, harvested live. Ids
-        no worker holds are absent, and the caller falls back to the
-        population (which *is* authoritative for them).
-        """
-        if self._workers is None:
-            return {}
-        self._reap_dead_workers()
-        for worker in self._workers:
-            worker.send(("harvest",))
-        harvested: dict[int, dict] = {}
-        for worker in self._workers:
-            status, payload = worker.recv()
-            if status == "error":
-                raise RuntimeError(f"resident worker harvest failed:\n{payload}")
-            if status != "ok":
-                raise RuntimeError(f"unexpected worker reply tag {status!r}")
-            harvested.update(payload)
-        return harvested
+            state["decoder_vector"] = client._decoder_vector
+        client.load_state_dict(state)
+        if include_decoder:
+            update.decoder_weights = client._decoder_vector
+        return update
 
     def close(self) -> None:
         if self._workers is not None:

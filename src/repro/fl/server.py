@@ -216,7 +216,8 @@ class Server:
         carries a :class:`~repro.fl.faults.FaultPlan`, its scheduled
         worker crashes for this round fire here, before any fit is
         dispatched — the backend discovers the dead workers and respawns
-        them, and the new workers rebuild their clients from the population.
+        them, and the new workers build their clients from the population,
+        which holds every fitted client's state, so nothing is lost.
         """
         self.channel.open_round(round_idx)
         fault_plan = getattr(self.channel, "fault_plan", None)

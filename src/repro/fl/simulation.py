@@ -191,22 +191,16 @@ def federation_state(server: Server, history) -> dict:
     scenario, sampler, channel, history) plus explicit state dicts for the
     server's RNGs, the global model, and every client the population says
     needs one (only clients that ever participated — untouched clients
-    restore bit-identically from construction replay).
-    Client state is harvested from the execution backend when it is
-    authoritative (the worker-resident pool); otherwise the population is
-    read directly. The execution backend itself is never pickled — it holds live
-    processes and is rebuilt from the config (or caller override) on
-    restore.
+    restore bit-identically from construction replay). The population is
+    the record of client state on every backend (a pool returns each
+    fitted client's state with its update), so it alone is read. The
+    execution backend itself is never pickled — it holds live processes
+    and is rebuilt from the config (or caller override) on restore.
 
     Known limitation: attack objects that mutate *inside worker processes*
-    (runtime collusion) are not harvested — but process backends reject
+    (runtime collusion) are not returned — but process backends reject
     those scenarios up front, so every checkpointable run is covered.
     """
-    harvested = server.backend.client_states()
-    client_states: dict[int, dict] = {
-        cid: harvested.get(cid) or server.population.state_for(cid)
-        for cid in server.population.checkpoint_ids()
-    }
     last_round = history.rounds[-1].round_idx if history.rounds else 0
     return {
         "format": "repro-federation-checkpoint",
@@ -221,7 +215,10 @@ def federation_state(server: Server, history) -> dict:
         "server_rng": server.rng.bit_generator.state,
         "context_rng": server.context.rng.bit_generator.state,
         "setup_done": server._setup_done,
-        "clients": client_states,
+        "clients": {
+            cid: server.population.state_for(cid)
+            for cid in server.population.checkpoint_ids()
+        },
         "history": history,
         # Evolving round-mode state. For the sync mode this is empty;
         # for the async mode it carries the event heap, the arrival
@@ -241,10 +238,11 @@ def restore_federation(state: dict, backend=None, sampler=None, channel=None):
     strategy object travels in the pickle with its setup products intact.
 
     The execution backend is rebuilt fresh (pass ``backend`` to override;
-    a pool that served another population restarts its workers). Pool
-    workers materialize the resumed clients from the restored population,
-    carrying their RNG/CVAE state, so a resumed run reproduces the
-    uninterrupted one bit-identically on any backend.
+    a pool that served another population restarts its workers). The
+    restored population is the record of every client's RNG, CVAE and
+    stream state, and pool workers materialize the resumed clients from
+    it, so a resumed run reproduces the uninterrupted one bit-identically
+    on any backend, whichever backend wrote the checkpoint.
     """
     if state.get("format") != "repro-federation-checkpoint":
         raise ValueError("not a federation checkpoint payload")

@@ -219,6 +219,25 @@ class TestProtocolScoping:
         )
         assert findings == []
 
+    def test_reply_status_check_is_not_a_receiver(self):
+        # A sender that checks its reply's status tag dispatches on no tag
+        # the module sends, so its receiver lives elsewhere: out of scope,
+        # not "ok" as a dead arm plus two unhandled requests.
+        findings = analyze_source(
+            "import pickle\n"
+            "\n"
+            "\n"
+            "def probe(conn):\n"
+            "    conn.send_bytes(pickle.dumps(('snapshot',)))\n"
+            "    status, payload = pickle.loads(conn.recv_bytes())\n"
+            "    assert status == 'ok'\n"
+            "    conn.send_bytes(pickle.dumps(('close',)))\n"
+            "    return payload\n",
+            path="proto.py",
+            rules=["RG103"],
+        )
+        assert findings == []
+
     def test_local_name_collision_does_not_dispatch(self):
         # `kind` is a dispatch variable inside the worker only; an
         # unrelated local of the same name elsewhere must not register

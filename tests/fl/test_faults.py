@@ -428,8 +428,9 @@ class TestCheckpointResume:
         assert _comparable(full) == _comparable(resumed)
 
     def test_resume_crosses_backends(self, tmp_path):
-        # Checkpoint harvested from the resident pool, resumed sequentially:
-        # worker state must round-trip through the main process faithfully.
+        # Checkpoint of a pool-run federation, resumed sequentially: the
+        # population the pool returned every fitted client's state to
+        # must carry the run faithfully.
         config = FederationConfig.tiny(
             rounds=4, backend="process", backend_workers=2
         )

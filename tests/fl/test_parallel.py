@@ -63,15 +63,25 @@ class TestProcessPoolBackend:
         backend.close()
 
     def test_close_and_reuse_restarts_workers(self):
-        config = FederationConfig.tiny()
+        # close() discards only the workers' cached clients: the restarted
+        # pool builds them from the population, which holds every fitted
+        # client's state, so the run reads the sequential history.
+        config = FederationConfig.tiny(
+            rounds=3, local_epochs=3, client_lr=0.2, train_samples=600,
+            clients_per_round=6,
+        )
+        seq_server = build_federation(config, FedAvg(), no_attack())
+        seq_history = seq_server.run()
         backend = ProcessPoolBackend(max_workers=2)
         try:
             server = build_federation(config, FedAvg(), no_attack(), backend=backend)
-            server.run_round(1)
+            history = server.run(rounds=1)
             backend.close()
-            server.run_round(2)  # lazily restarts the pool and reinstalls
+            history = server.run(history=history)  # lazily restarts the pool
         finally:
             backend.close()
+        np.testing.assert_array_equal(history.accuracies, seq_history.accuracies)
+        np.testing.assert_array_equal(server.global_weights, seq_server.global_weights)
 
 
 class TestSharedMemoryLifecycle:

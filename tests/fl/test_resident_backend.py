@@ -1,12 +1,14 @@
 """Worker-resident backend tests: equivalence, stickiness, reuse, and dedup.
 
 The resident :class:`~repro.fl.parallel.ProcessPoolBackend` keeps clients
-alive inside persistent worker processes, each built there from the
-server's population the first time a round names it. Rounds ship client
-ids, the global vector via shared memory, and each decoder at most once
-per version. None of that may change a single bit of any federation — the
+cached inside persistent worker processes, each built there from the
+server's population the first time a round names it, and returns every
+fitted client's state to that population. Rounds ship client ids, the
+global vector via shared memory, and each decoder at most once per
+version. None of that may change a single bit of any federation — the
 sequential backend is the referee, across every registered strategy,
-through a lossy channel, and on a pool reused for another federation.
+through a lossy channel, on a pool reused for another federation, and on
+a pool that loses a worker.
 """
 
 import multiprocessing
@@ -23,6 +25,8 @@ from repro.defenses import FedAvg, FedGuard
 from repro.experiments.scenarios import STRATEGY_FACTORIES, make_strategy
 from repro.experiments.storage import history_to_dict
 from repro.fl import (
+    FaultPlan,
+    FaultyChannel,
     InMemoryChannel,
     LossyChannel,
     ProcessPoolBackend,
@@ -81,21 +85,30 @@ class TestStickyPlacementAndStreams:
         assert _strip_clocks(seq) == _strip_clocks(res)
 
     def test_clients_do_not_move_between_workers(self):
-        config = FederationConfig.tiny()
+        # Full participation: every client is dispatched in every round.
+        config = FederationConfig.tiny(rounds=4, clients_per_round=6)
+        routed: dict[int, list[tuple[int, int]]] = {}
         with ProcessPoolBackend(max_workers=2) as backend:
             server = build_federation(config, FedAvg(), no_attack(), backend=backend)
-            server.run(rounds=3)
-            workers = backend._workers
-            assert len(workers) == 2
-            # Sticky mapping is a pure function of the id — nothing to
-            # migrate, nothing to rebalance: each worker holds only its
-            # own residue class.
-            for index, worker in enumerate(workers):
-                worker.send(("harvest",))
-                reply = worker.recv()
-                held = reply[1]
-                assert reply == ("ok", held) and held
-                assert all(cid % len(workers) == index for cid in held)
+            dispatch = backend._dispatch_round
+
+            def recording_dispatch(worker_idx, round_args):
+                for cid in round_args[2]:
+                    routed.setdefault(cid, []).append((round_args[0], worker_idx))
+                dispatch(worker_idx, round_args)
+
+            backend._dispatch_round = recording_dispatch
+            history = server.run(rounds=2)
+            assert backend.inject_worker_crash(0)
+            server.run(history=history)
+            assert backend.respawns == 1
+        # Sticky mapping is a pure function of the id — nothing to
+        # migrate, nothing to rebalance: each client goes to the worker of
+        # its residue class in every round, before and after a respawn.
+        assert routed == {
+            cid: [(round_idx, cid % 2) for round_idx in range(1, 5)]
+            for cid in range(config.n_clients)
+        }
 
 
 class TestPoolReuse:
@@ -130,6 +143,74 @@ class TestPoolReuse:
             resumed_server, resumed = restore_federation(state, backend=backend)
             resumed = resumed_server.run(history=resumed)
         assert _strip_clocks(seq) == _strip_clocks(resumed)
+
+
+class TestLosingAWorker:
+    """The population is the record of client state, so a pool that loses
+    a worker — to a scheduled crash, a kill mid-round, or before a
+    checkpoint — reads the sequential history."""
+
+    @staticmethod
+    def _config(**overrides):
+        return FederationConfig.tiny(
+            rounds=4, local_epochs=3, client_lr=0.2, train_samples=600,
+            clients_per_round=6, **overrides,
+        )
+
+    @pytest.mark.parametrize("strategy", [FedAvg, FedGuard])
+    @pytest.mark.parametrize("server_mode", ["sync", "async"])
+    def test_scheduled_crash_matches_sequential(self, server_mode, strategy):
+        extra = {"buffer_size": 3} if server_mode == "async" else {}
+        config = self._config(server_mode=server_mode, **extra)
+
+        def run(backend):
+            plan = FaultPlan().crash_worker(0, round_idx=3)
+            return build_federation(
+                config, strategy(), no_attack(), backend=backend,
+                channel=FaultyChannel(InMemoryChannel(), plan),
+            ).run()
+
+        seq = run(SequentialBackend())
+        with ProcessPoolBackend(max_workers=2) as backend:
+            res = run(backend)
+            assert backend.respawns == 1
+        assert _strip_clocks(seq) == _strip_clocks(res)
+
+    def test_worker_killed_after_dispatch_matches_sequential(self):
+        # The respawn-and-replay path: worker 0 dies holding round 3.
+        config = self._config()
+        seq = build_federation(config, FedAvg(), no_attack()).run()
+        killed = []
+        with ProcessPoolBackend(max_workers=2) as backend:
+            server = build_federation(config, FedAvg(), no_attack(), backend=backend)
+            dispatch = backend._dispatch_round
+
+            def dispatch_then_kill(worker_idx, round_args):
+                dispatch(worker_idx, round_args)
+                if worker_idx == 0 and round_args[0] == 3 and not killed:
+                    process = backend._workers[0].process
+                    process.kill()
+                    process.join()
+                    killed.append(process)
+
+            backend._dispatch_round = dispatch_then_kill
+            res = server.run()
+            assert killed and backend.respawns == 1
+        assert _strip_clocks(seq) == _strip_clocks(res)
+
+    def test_checkpoint_after_a_worker_dies_resumes_sequentially(self):
+        config = self._config()
+        uninterrupted = build_federation(config, FedAvg(), no_attack()).run()
+        with ProcessPoolBackend(max_workers=2) as backend:
+            server = build_federation(config, FedAvg(), no_attack(), backend=backend)
+            history = server.run(rounds=2)
+            assert backend.inject_worker_crash(0)
+            state = pickle.loads(pickle.dumps(federation_state(server, history)))
+        resumed_server, resumed = restore_federation(
+            state, backend=SequentialBackend()
+        )
+        resumed = resumed_server.run(history=resumed)
+        assert _strip_clocks(uninterrupted) == _strip_clocks(resumed)
 
 
 class TestRuntimeCollusionRejection:
@@ -226,10 +307,10 @@ class TestWorkerProtocol:
 
     def test_unknown_tag_answered_and_close_exits(self, worker):
         process, conn = worker
-        # The pool speaks round/harvest/close only; any other tag, the
-        # retired install included, gets an error reply instead of
+        # The pool speaks round/close only; any other tag, the retired
+        # install and harvest included, gets an error reply instead of
         # leaving the sender blocked.
-        for message in (("evict", [0]), ("install", [])):
+        for message in (("evict", [0]), ("install", []), ("harvest",)):
             assert self._ask(conn, message) == (
                 "error", f"unknown message tag {message[0]!r}"
             )
@@ -238,15 +319,18 @@ class TestWorkerProtocol:
         assert process.exitcode == 0
 
     def test_unknown_client_answered_with_error(self, worker):
-        _, conn = worker
+        process, conn = worker
         # Nothing to build client 3 from: the round fails loudly, and the
-        # worker keeps serving.
-        status, payload = self._ask(
-            conn, ("round", 1, False, [3], ("inline", np.zeros(4)))
-        )
-        assert status == "error"
-        assert "client 3" in payload
-        assert self._ask(conn, ("harvest",)) == ("ok", {})
+        # worker keeps serving — it still answers and closes cleanly.
+        for _ in range(2):
+            status, payload = self._ask(
+                conn, ("round", 1, False, [3], ("inline", np.zeros(4)))
+            )
+            assert status == "error"
+            assert "client 3" in payload
+        conn.send_bytes(pickle.dumps(("close",)))
+        process.join(timeout=5)
+        assert process.exitcode == 0
 
 
 class TestDecoderDedup:

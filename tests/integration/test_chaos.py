@@ -5,8 +5,9 @@ handles — 30 % random submit drops, one worker crash mid-federation, and
 a scripted straggler pushed past the deadline — on the worker-resident
 process backend with retries, a straggler deadline, and a quorum floor
 all enabled. Every registered strategy must complete all rounds, respect
-the quorum contract, and replay bit-identically on a second run of the
-same plan and seed.
+the quorum contract, replay bit-identically on a second run of the same
+plan and seed, and equal the same plan run on the sequential backend,
+which has no worker to crash: losing a worker loses no client state.
 
 These runs are minutes of CPU across the registry; the whole module is
 marked ``chaos`` and runs in CI's full-suite job, not the tier-1 gate.
@@ -19,7 +20,13 @@ from repro.attacks import AttackScenario
 from repro.config import FederationConfig
 from repro.experiments import STRATEGY_FACTORIES
 from repro.experiments.scenarios import make_strategy
-from repro.fl import FaultPlan, FaultyChannel, ProcessPoolBackend, build_federation
+from repro.fl import (
+    FaultPlan,
+    FaultyChannel,
+    ProcessPoolBackend,
+    SequentialBackend,
+    build_federation,
+)
 from repro.fl.transport import InMemoryChannel, LatencyChannel
 
 pytestmark = pytest.mark.chaos
@@ -39,7 +46,22 @@ def canonical_plan() -> FaultPlan:
     )
 
 
-def run_under_chaos(strategy_name: str):
+def _run(config, strategy_name: str, channel, pool: bool):
+    """One chaos run on a two-worker pool, or sequentially; returns
+    (history, respawns)."""
+    backend = ProcessPoolBackend(max_workers=2) if pool else SequentialBackend()
+    try:
+        server = build_federation(
+            config, make_strategy(strategy_name),
+            AttackScenario.sign_flipping(0.5),
+            backend=backend, channel=channel,
+        )
+        return server.run(), getattr(backend, "respawns", 0)
+    finally:
+        backend.close()
+
+
+def run_under_chaos(strategy_name: str, pool: bool = True):
     config = FederationConfig.tiny(
         rounds=ROUNDS,
         retries=1,
@@ -47,16 +69,8 @@ def run_under_chaos(strategy_name: str):
         deadline_s=5.0,
         min_quorum=MIN_QUORUM,
     )
-    scenario = AttackScenario.sign_flipping(0.5)
     channel = FaultyChannel(InMemoryChannel(), canonical_plan())
-    with ProcessPoolBackend(max_workers=2) as backend:
-        server = build_federation(
-            config, make_strategy(strategy_name), scenario,
-            backend=backend, channel=channel,
-        )
-        history = server.run()
-        respawns = backend.respawns
-    return history, respawns
+    return _run(config, strategy_name, channel, pool)
 
 
 def _comparable(history):
@@ -97,6 +111,9 @@ def test_strategy_completes_and_replays_under_canonical_plan(strategy_name):
     # Deterministic replay: same plan + same seed => identical history.
     assert _comparable(first) == _comparable(second)
     assert respawns_a == respawns_b
+    # The crash costs nothing: the sequential run of the plan is the same.
+    sequential, _ = run_under_chaos(strategy_name, pool=False)
+    assert _comparable(first) == _comparable(sequential)
 
 
 def test_chaos_run_differs_from_lossless_baseline():
@@ -143,7 +160,7 @@ def async_plan() -> FaultPlan:
     return canonical_plan().delay_submit(4.0, client_id=SLOW_ID)
 
 
-def run_under_async_chaos(strategy_name: str):
+def run_under_async_chaos(strategy_name: str, pool: bool = True):
     config = FederationConfig.tiny(
         rounds=ROUNDS,
         retries=1,
@@ -155,18 +172,10 @@ def run_under_async_chaos(strategy_name: str):
         max_staleness=MAX_STALENESS,
         channel="latency",  # config-level default; the explicit channel below wins
     )
-    scenario = AttackScenario.sign_flipping(0.5)
     channel = FaultyChannel(
         LatencyChannel(base_s=0.05, spread=1.0, seed=23), async_plan()
     )
-    with ProcessPoolBackend(max_workers=2) as backend:
-        server = build_federation(
-            config, make_strategy(strategy_name), scenario,
-            backend=backend, channel=channel,
-        )
-        history = server.run()
-        respawns = backend.respawns
-    return history, respawns
+    return _run(config, strategy_name, channel, pool)
 
 
 def _comparable_async(history):
@@ -206,6 +215,8 @@ def test_strategy_survives_async_chaos_and_replays(strategy_name):
     # staleness metrics included.
     assert _comparable_async(first) == _comparable_async(second)
     assert respawns_a == respawns_b
+    sequential, _ = run_under_async_chaos(strategy_name, pool=False)
+    assert _comparable_async(first) == _comparable_async(sequential)
 
 
 def test_async_chaos_exercises_staleness_and_drops():
