@@ -60,6 +60,29 @@ def test_bench_cvae_training_step(benchmark, batch):
     benchmark(step)
 
 
+def _with_gradients(model):
+    rng = np.random.default_rng(2)
+    for p in model.parameters():
+        p.grad[...] = 1e-3 * rng.standard_normal(p.shape)
+    return model
+
+
+def test_bench_adam_step(benchmark):
+    """One Adam step over the scaled CVAE's 54,810 parameters."""
+    cvae = scaled_cvae(input_dim=256, rng=np.random.default_rng(1))
+    opt = nn.Adam(cvae.parameters(), lr=1e-3)
+    _with_gradients(cvae)
+    benchmark(opt.step)
+
+
+def test_bench_sgd_step(benchmark):
+    """One plain SGD step (the clients' optimizer) over the scaled CNN."""
+    model = scaled_cnn(16, np.random.default_rng(1))
+    opt = nn.SGD(model.parameters(), lr=0.05)
+    _with_gradients(model)
+    benchmark(opt.step)
+
+
 def test_bench_decoder_generation(benchmark):
     cvae = scaled_cvae(input_dim=256, rng=np.random.default_rng(1))
     labels = np.tile(np.arange(10), 10)

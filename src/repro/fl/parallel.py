@@ -41,8 +41,10 @@ Notes for users:
   :meth:`ProcessPoolBackend.close` discards: a respawned or restarted
   worker builds its clients from a population that is already current,
   so losing a worker loses nothing, and a checkpoint reads the
-  population alone. The cache stays valid while this pool is the only
-  backend fitting the population's clients.
+  population alone. Assigning ``Server.backend`` closes the outgoing
+  backend, so a pool swapped out for another backend and back in
+  restarts its workers from the current population instead of fitting
+  the clients it cached before the swap.
 * Process-boundary cost is tracked in :class:`IPCStats` (pickled bytes in
   each direction), deliberately separate from the transport layer's
   *wire* accounting: IPC bytes measure the simulator, wire bytes model
@@ -146,7 +148,8 @@ class ExecutionBackend:
         raise NotImplementedError
 
     def attach(self, population) -> None:
-        """Serve the clients of ``population`` (the server calls this once).
+        """Serve the clients of ``population`` (the server calls this each
+        time the backend is assigned to it).
 
         A no-op here; the resident pool starts its workers with it.
         """

@@ -129,7 +129,6 @@ class Server:
             from .parallel import make_backend
 
             backend = make_backend(config)
-        backend.attach(population)
         self.backend = backend
         if sampler is None:
             from .sampling import UniformSampler
@@ -158,6 +157,25 @@ class Server:
         self._setup_done = False
 
     # -- pieces ------------------------------------------------------------
+    @property
+    def backend(self):
+        """The execution backend that fits this server's clients.
+
+        Assigning one closes the outgoing backend and attaches the
+        incoming one to the population. A pool swapped out and back in
+        therefore restarts its workers from the population, the record of
+        client state, instead of fitting the clients it cached before.
+        """
+        return self._backend
+
+    @backend.setter
+    def backend(self, backend) -> None:
+        outgoing = getattr(self, "_backend", None)
+        if outgoing is not None:
+            outgoing.close()
+        backend.attach(self.population)
+        self._backend = backend
+
     @property
     def clients(self):
         """Sequence view over the population (lazy populations materialize

@@ -68,10 +68,18 @@ class Classifier(nn.Module):
             x = layer(x)
         return x
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        for layer in reversed(self._stack):
+    def backward(self, grad_output: np.ndarray) -> None:
+        """Accumulate every parameter gradient from the logits' gradient.
+
+        The input layer runs without its input gradient (for the CNN,
+        conv1's ``dcols`` GEMM and ``col2im``; for the MLP, fc1's
+        ``grad @ W``): training reads only the parameter gradients, so
+        nothing is returned.
+        """
+        first, *rest = self._stack
+        for layer in reversed(rest):
             grad_output = layer.backward(grad_output)
-        return grad_output
+        first.backward(grad_output, input_grad=False)
 
     def block_shape(self, clients: int) -> tuple[int, int]:
         """(models, samples) per inference block for ``clients`` stacked models.

@@ -175,10 +175,15 @@ class CVAEEncoder(nn.Module):
         h = self.relu(self.fc1(np.concatenate([x, y_onehot], axis=1)))
         return self.fc_mu(h), self.fc_logvar(h)
 
-    def backward(self, d_mu: np.ndarray, d_logvar: np.ndarray) -> np.ndarray:
+    def backward(self, d_mu: np.ndarray, d_logvar: np.ndarray) -> None:
+        """Accumulate the encoder's parameter gradients from the heads'.
+
+        ``fc1`` runs without its input gradient: the (image, one-hot)
+        input is data, so nothing reads it and nothing is returned.
+        """
         dh = self.fc_mu.backward(d_mu) + self.fc_logvar.backward(d_logvar)
         dh = self.relu.backward(dh)
-        return self.fc1.backward(dh)
+        self.fc1.backward(dh, input_grad=False)
 
 
 class CVAEDecoder(nn.Module):

@@ -69,7 +69,15 @@ class Linear(Module):
             out += self.bias.data
         return out
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+    def backward(
+        self, grad_output: np.ndarray, input_grad: bool = True
+    ) -> np.ndarray | None:
+        """Accumulate the parameter gradients; return the input gradient.
+
+        ``input_grad=False`` skips the input gradient's GEMM and returns
+        ``None``, for a model's input layer, whose input gradient nothing
+        reads.
+        """
         x = self._cache_input
         if x is None:
             raise RuntimeError("backward called before forward")
@@ -77,10 +85,14 @@ class Linear(Module):
             self.weight.grad += np.matmul(grad_output.transpose(0, 2, 1), x)
             if self.has_bias:
                 self.bias.grad += grad_output.sum(axis=1)
+            if not input_grad:
+                return None
             return np.matmul(grad_output, self.weight.data)
         self.weight.grad += grad_output.T @ x
         if self.has_bias:
             self.bias.grad += grad_output.sum(axis=0)
+        if not input_grad:
+            return None
         return grad_output @ self.weight.data
 
 
@@ -169,7 +181,15 @@ class Conv2d(Module):
         self._cache = (x.shape, cols)
         return np.ascontiguousarray(out)
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+    def backward(
+        self, grad_output: np.ndarray, input_grad: bool = True
+    ) -> np.ndarray | None:
+        """Accumulate the parameter gradients; return the input gradient.
+
+        ``input_grad=False`` skips the input gradient (its ``dcols`` GEMM
+        and ``col2im``) and returns ``None``, for a model's input layer,
+        whose input gradient nothing reads.
+        """
         if self._cache is None:
             raise RuntimeError("backward called before forward")
         x_shape, cols = self._cache
@@ -185,6 +205,8 @@ class Conv2d(Module):
             )
             if self.has_bias:
                 self.bias.grad += grad_output.sum(axis=(1, 3, 4))
+            if not input_grad:
+                return None
             w_flat = self.weight.data.reshape(clients, self.out_channels, -1)
             dcols_b = np.matmul(w_flat.transpose(0, 2, 1), grad)  # (K, C*k*k, N*L)
             ckk = w_flat.shape[-1]
@@ -197,6 +219,8 @@ class Conv2d(Module):
         self.weight.grad += (grad @ cols.T).reshape(self.weight.data.shape)
         if self.has_bias:
             self.bias.grad += grad_output.sum(axis=(0, 2, 3))
+        if not input_grad:
+            return None
         w_flat = self.weight.data.reshape(self.out_channels, -1)
         dcols = w_flat.T @ grad  # (C*k*k, N*out_h*out_w)
         return F.col2im(dcols, x_shape, k, k, padding=p, stride=s)
@@ -212,6 +236,13 @@ class MaxPool2d(Module):
     integer sum of the same slices of the mask. Non-overlapping windows
     are all the paper's architecture needs (2×2/2). Ties route the
     gradient to every maximal element, split evenly.
+
+    The backward scales the gradient at pooled size, ``(1/c) * g`` per
+    window, and only then spreads it with the 0/1 mask: the bytes equal
+    the full-size ``(mask / c) * g``, signed zeros, infinities and NaNs
+    included, with the division on an array ``k*k`` times smaller. A
+    window holding a NaN has no maximum (``c == 0``) and scales by
+    ``0/0``, as the full-size form does.
     """
 
     def __init__(self, kernel_size: int) -> None:
@@ -259,8 +290,8 @@ class MaxPool2d(Module):
         for a in range(k):
             for b in range(k):
                 counts += mask[..., a, :, b]
-        grad = (mask / counts[..., None, :, None]) * grad_output[..., None, :, None]
-        return grad.reshape(x_shape)
+        scaled = ((counts > 0) / counts) * grad_output  # (1/c) * g, pooled
+        return (mask * scaled[..., None, :, None]).reshape(x_shape)
 
 
 class Flatten(Module):

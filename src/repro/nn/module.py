@@ -4,7 +4,9 @@ The framework uses explicit layer-wise backpropagation rather than a taped
 autograd: each :class:`Module` implements ``forward`` (caching whatever it
 needs) and ``backward`` (receiving the gradient of the loss with respect to
 its output and returning the gradient with respect to its input, while
-accumulating parameter gradients in-place).
+accumulating parameter gradients in-place). Models whose input is data
+(the classifiers, the CVAE encoder) return nothing: their input layer
+skips the input gradient nobody reads.
 
 This design keeps the hot paths as plain vectorized NumPy with no graph
 bookkeeping overhead, which is what the federated simulation needs — tens of
@@ -27,10 +29,15 @@ class Parameter:
     Attributes
     ----------
     data:
-        The parameter values. Mutated in-place by optimizers.
+        The parameter values. An optimizer rebinds it, at construction, to
+        a view into the optimizer's flat value buffer and then updates it
+        in place (:mod:`repro.nn.optim`); hold ``param.data``, not an
+        array read from it before the optimizer was built.
     grad:
         Gradient accumulator with the same shape as ``data``. Zeroed by
-        :meth:`Module.zero_grad` and filled during ``backward``.
+        :meth:`Module.zero_grad` and filled during ``backward``; rebound
+        to a view into the optimizer's flat gradient buffer like
+        ``data``.
     name:
         Dotted path assigned when the parameter is registered in a module
         tree; useful for debugging and state dicts.

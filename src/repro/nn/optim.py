@@ -1,8 +1,19 @@
 """Optimizers operating in-place on :class:`repro.nn.module.Parameter` lists.
 
-All state updates are vectorized in-place NumPy operations (no temporaries
-beyond what the update rule needs), following the HPC guide's advice on
-in-place arithmetic for large arrays.
+An optimizer owns its parameters' storage: construction copies every
+parameter's ``data`` and ``grad`` into one contiguous float64 buffer each,
+in list order, and rebinds ``Parameter.data`` and ``.grad`` to views at
+their offsets. ``zero_grad`` is then one ``fill`` and each update rule a
+few whole-buffer in-place NumPy operations into preallocated temporaries.
+Every element sees the same IEEE operations in the same order as a
+per-parameter loop would apply, so how the buffer is split into parameters
+does not change a bit of the result.
+
+The views stay valid for as long as nothing rebinds the parameters; code
+that installs new arrays (:func:`repro.nn.stack_parameters`) must do so
+before the optimizer is built. Parameter lists must not repeat a
+parameter, and optimizers sharing a model must hold disjoint lists (the
+GAN's generator and discriminator optimizers, for instance).
 """
 
 from __future__ import annotations
@@ -15,16 +26,29 @@ __all__ = ["Optimizer", "SGD", "Adam"]
 
 
 class Optimizer:
-    """Base class: holds the parameter list and implements ``zero_grad``."""
+    """Base class: owns the flat ``data``/``grad`` buffers and ``zero_grad``."""
 
     def __init__(self, params: list[Parameter]) -> None:
         if not params:
             raise ValueError("optimizer received an empty parameter list")
         self.params = list(params)
+        if len({id(p) for p in self.params}) != len(self.params):
+            raise ValueError("optimizer received the same parameter twice")
+        total = sum(p.data.size for p in self.params)
+        self._data = np.empty(total, dtype=np.float64)
+        self._grad = np.empty(total, dtype=np.float64)
+        offset = 0
+        for p in self.params:
+            end = offset + p.data.size
+            data = self._data[offset:end].reshape(p.data.shape)
+            grad = self._grad[offset:end].reshape(p.data.shape)
+            data[...] = p.data
+            grad[...] = p.grad  # a gradient accumulated before construction is kept
+            p.data, p.grad = data, grad
+            offset = end
 
     def zero_grad(self) -> None:
-        for p in self.params:
-            p.zero_grad()
+        self._grad.fill(0.0)
 
     def step(self) -> None:
         raise NotImplementedError
@@ -52,22 +76,19 @@ class SGD(Optimizer):
         self.lr = lr
         self.momentum = momentum
         self.weight_decay = weight_decay
-        self._velocity: list[np.ndarray] | None = (
-            [np.zeros_like(p.data) for p in self.params] if momentum > 0 else None
-        )
+        self._velocity = np.zeros_like(self._data) if momentum > 0 else None
+        self._tmp = np.empty_like(self._data)
 
     def step(self) -> None:
-        for idx, p in enumerate(self.params):
-            grad = p.grad
-            if self.weight_decay > 0.0:
-                grad = grad + self.weight_decay * p.data
-            if self._velocity is not None:
-                v = self._velocity[idx]
-                v *= self.momentum
-                v += grad
-                p.data -= self.lr * v
-            else:
-                p.data -= self.lr * grad
+        grad = self._grad
+        if self.weight_decay > 0.0:
+            grad = grad + self.weight_decay * self._data
+        v = self._velocity
+        if v is not None:
+            v *= self.momentum
+            v += grad
+            grad = v
+        self._data -= np.multiply(self.lr, grad, out=self._tmp)
 
 
 class Adam(Optimizer):
@@ -92,23 +113,29 @@ class Adam(Optimizer):
         self.beta1, self.beta2 = b1, b2
         self.eps = eps
         self.weight_decay = weight_decay
-        self._m = [np.zeros_like(p.data) for p in self.params]
-        self._v = [np.zeros_like(p.data) for p in self.params]
+        self._m = np.zeros_like(self._data)
+        self._v = np.zeros_like(self._data)
+        self._tmp = np.empty_like(self._data)
+        self._denom = np.empty_like(self._data)
         self._t = 0
 
     def step(self) -> None:
         self._t += 1
         bias_c1 = 1.0 - self.beta1**self._t
         bias_c2 = 1.0 - self.beta2**self._t
-        for idx, p in enumerate(self.params):
-            grad = p.grad
-            if self.weight_decay > 0.0:
-                grad = grad + self.weight_decay * p.data
-            m, v = self._m[idx], self._v[idx]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * grad
-            v *= self.beta2
-            v += (1.0 - self.beta2) * grad * grad
-            m_hat = m / bias_c1
-            v_hat = v / bias_c2
-            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        m, v, tmp, denom = self._m, self._v, self._tmp, self._denom
+        grad = self._grad
+        if self.weight_decay > 0.0:
+            grad = grad + self.weight_decay * self._data
+        m *= self.beta1
+        m += np.multiply(1.0 - self.beta1, grad, out=tmp)
+        v *= self.beta2
+        np.multiply(1.0 - self.beta2, grad, out=tmp)
+        v += np.multiply(tmp, grad, out=tmp)  # ((1 - b2) * g) * g
+        np.divide(m, bias_c1, out=tmp)  # m_hat
+        np.multiply(self.lr, tmp, out=tmp)  # lr * m_hat
+        np.divide(v, bias_c2, out=denom)  # v_hat
+        np.sqrt(denom, out=denom)
+        denom += self.eps
+        tmp /= denom
+        self._data -= tmp

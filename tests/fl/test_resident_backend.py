@@ -144,6 +144,20 @@ class TestPoolReuse:
             resumed = resumed_server.run(history=resumed)
         assert _strip_clocks(seq) == _strip_clocks(resumed)
 
+    def test_pool_swapped_out_and_back_matches_sequential(self):
+        # Round 2 runs on another backend; the pool's workers must not
+        # fit the round-1 clients they cached when it comes back.
+        config = self._config(rounds=3, clients_per_round=6)
+        seq = build_federation(config, FedAvg(), no_attack()).run()
+        with ProcessPoolBackend(max_workers=2) as pool:
+            server = build_federation(config, FedAvg(), no_attack(), backend=pool)
+            history = server.run(rounds=1)
+            server.backend = SequentialBackend()
+            history = server.run(rounds=2, history=history)
+            server.backend = pool
+            swapped = server.run(history=history)
+        assert _strip_clocks(seq) == _strip_clocks(swapped)
+
 
 class TestLosingAWorker:
     """The population is the record of client state, so a pool that loses

@@ -285,3 +285,41 @@ class TestBlockMemory:
                 tracemalloc.stop()
         assert peaks[1] < 1.1 * peaks[0]
         assert peaks[1] < 3 * classifier.PREDICT_BLOCK_BYTES
+
+
+# ---------------------------------------------------------------------------
+# Backward without the input layer's input gradient
+# ---------------------------------------------------------------------------
+
+
+def _full_backward(model, grad):
+    """Every layer's full backward, the input layer's input gradient included."""
+    for layer in reversed(model._stack):
+        grad = layer.backward(grad)
+    return grad
+
+
+class TestInputLayerGradientSkip:
+    """``Classifier.backward`` skips only the input layer's input gradient:
+    every parameter gradient is byte-identical to the full backward."""
+
+    @pytest.mark.parametrize("k", (None, 3), ids=("single", "stacked3"))
+    @pytest.mark.parametrize("kind", ("cnn", "mlp"))
+    def test_parameter_grads_bytes_equal_full_backward(self, kind, k):
+        make = {"cnn": lambda r: scaled_cnn(16, r),
+                "mlp": lambda r: MLPClassifier(256, hidden=32, rng=r)}[kind]
+        models = [
+            _stacked(make, k) if k else make(np.random.default_rng(0))
+            for _ in range(2)
+        ]
+        rng = np.random.default_rng(1)
+        lead = (k,) if k else ()
+        x = rng.random(lead + (8, 256))
+        grad = rng.standard_normal(lead + (8, 10))
+        for model in models:
+            model.zero_grad()
+            model(x)
+        assert models[0].backward(grad) is None
+        assert _full_backward(models[1], grad).shape == models[1]._shape_input(x).shape
+        for p, ref in zip(models[0].parameters(), models[1].parameters()):
+            assert p.grad.tobytes() == ref.grad.tobytes(), p.name

@@ -77,6 +77,29 @@ class TestBackward:
             for idx, num in numeric.items():
                 assert p.grad.ravel()[idx] == pytest.approx(num, abs=1e-5)
 
+    def test_parameter_grads_bytes_equal_full_backward(self, rng):
+        """The encoder's fc1 skips its input gradient; every parameter
+        gradient stays byte-identical to running each layer's full backward."""
+        cvae, ref = small_cvae(), small_cvae()
+        x = rng.random((6, 16))
+        labels = np.array([0, 1, 2, 3, 0, 1])
+        loss_fn = nn.CVAELoss()
+        for model in (cvae, ref):
+            recon, mu, logvar = model.forward(x, labels, np.random.default_rng(5))
+            loss_fn(recon, model.reconstruction_target(x, labels), mu, logvar)
+        d_recon, d_mu, d_logvar = loss_fn.backward()
+        assert cvae.backward(d_recon, d_mu, d_logvar) is None
+        # Reference: CVAE.backward with every layer's full backward.
+        eps, sigma = ref._cache["eps"], ref._cache["sigma"]
+        dz = ref.decoder.backward(d_recon)
+        enc = ref.encoder
+        dh = enc.fc_mu.backward(d_mu + dz) + enc.fc_logvar.backward(
+            d_logvar + dz * eps * 0.5 * sigma
+        )
+        assert enc.fc1.backward(enc.relu.backward(dh)).shape == (6, 20)
+        for p, own in zip(cvae.parameters(), ref.parameters()):
+            assert p.grad.tobytes() == own.grad.tobytes(), p.name
+
     def test_backward_before_forward_raises(self, rng):
         cvae = small_cvae(rng)
         with pytest.raises(RuntimeError):

@@ -37,8 +37,14 @@ def stack_modules(make_module, k, seed):
     return singles, shell
 
 
-def assert_stack_matches_singles(shell, singles, x, grad_out, lr=0.1, momentum=0.9):
-    """Forward, backward, and one SGD step — all bitwise per slice."""
+def assert_stack_matches_singles(
+    shell, singles, x, grad_out, lr=0.1, momentum=0.9, input_grad=True
+):
+    """Forward, backward, and one SGD step — all bitwise per slice.
+
+    ``input_grad=False`` is for whole classifiers, whose input layer skips
+    the input gradient: the stack and every single must return ``None``.
+    """
     out = shell(x)
     dx = shell.backward(grad_out)
     opt = nn.SGD(shell.parameters(), lr=lr, momentum=momentum)
@@ -47,7 +53,10 @@ def assert_stack_matches_singles(shell, singles, x, grad_out, lr=0.1, momentum=0
         out_j = single(x[j])
         dx_j = single.backward(grad_out[j])
         np.testing.assert_array_equal(out[j], out_j)
-        np.testing.assert_array_equal(dx[j], dx_j)
+        if input_grad:
+            np.testing.assert_array_equal(dx[j], dx_j)
+        else:
+            assert dx is None and dx_j is None
         nn.SGD(single.parameters(), lr=lr, momentum=momentum).step()
         for stacked, own in zip(shell.parameters(), single.parameters()):
             np.testing.assert_array_equal(stacked.grad[j], own.grad)
@@ -205,7 +214,7 @@ class TestFullModels:
         )
         x = rng.standard_normal((k, 4, 16))
         grad_out = rng.standard_normal((k, 4, 3))
-        assert_stack_matches_singles(shell, singles, x, grad_out)
+        assert_stack_matches_singles(shell, singles, x, grad_out, input_grad=False)
 
     @given(K_VALUES, SEEDS)
     @settings(max_examples=5, deadline=None)
@@ -220,7 +229,7 @@ class TestFullModels:
         )
         x = rng.standard_normal((k, 2, 64))  # flat images, per-model reshape
         grad_out = rng.standard_normal((k, 2, 3))
-        assert_stack_matches_singles(shell, singles, x, grad_out)
+        assert_stack_matches_singles(shell, singles, x, grad_out, input_grad=False)
 
     @given(K_VALUES, SEEDS)
     @settings(max_examples=10, deadline=None)

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from repro import nn
+from repro.models import CNNClassifier
 from repro.nn import functional as F
 
 KERNELS = (1, 2, 3, 5)
@@ -316,3 +317,66 @@ def test_maxpool_nan_window_propagates():
     assert_bytes_equal(out, ref_out)
     dx = pool.backward(np.ones_like(out))
     assert_bytes_equal(dx, reference_maxpool_backward(ref_mask, np.ones_like(out), x.shape))
+
+
+def _non_finite_grads(rng, shape, dtype):
+    """Upstream gradients with ±0, ±inf and ±NaN planted among finite values."""
+    grad = rng.standard_normal(shape).astype(dtype)
+    specials = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan], dtype=dtype)
+    planted = rng.random(shape) < 0.4
+    grad[planted] = rng.choice(specials, int(planted.sum()))
+    return grad
+
+
+def _assert_pool_backward_matches(x, k, grad_rng, context):
+    pool = nn.MaxPool2d(k)
+    out = pool(x)
+    ref_out, ref_mask = reference_maxpool(x, k)
+    assert_bytes_equal(out, ref_out, context)
+    grad = _non_finite_grads(grad_rng, out.shape, x.dtype)
+    assert_bytes_equal(
+        pool.backward(grad),
+        reference_maxpool_backward(ref_mask, grad, x.shape),
+        context,
+    )
+
+
+# The pooled-size backward scales (1/c) * g per window before the mask
+# spreads it; ties (c > 1), NaN windows (c == 0) and non-finite upstream
+# gradients must give the full-size (mask / c) * g bytes exactly.
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("dtype", DTYPES, ids=lambda d: np.dtype(d).name)
+@pytest.mark.parametrize("k", (2, 3))
+@pytest.mark.parametrize("batched", (False, True), ids=("4d", "5d"))
+def test_maxpool_backward_tie_heavy_non_finite_grads(k, dtype, batched):
+    rng = np.random.default_rng(40 + 10 * k + batched)
+    shape = (7, 3, 4 * k, 2 * k)
+    if batched:
+        shape = (3,) + shape
+    # Four distinct levels, signed zeros among them: most windows tie.
+    levels = np.array([-0.0, 0.0, 0.5, 1.0], dtype=dtype)
+    x = rng.choice(levels, shape)
+    nan_windows = x.reshape(-1, 4, k, 2, k)[::5]
+    nan_windows[:, 1, 0, 0, k - 1] = np.nan  # some windows have no maximum
+    _assert_pool_backward_matches(x, k, rng, f"k={k} {shape}")
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("value", (1.0, -1.0))
+def test_maxpool_backward_in_a_same_value_cnn(value):
+    """Both pools of a scaled CNN whose every parameter is ``value`` (the
+    same_value attack's model): blank image regions give constant conv
+    maps, so windows tie in bulk; with -1 ReLU leaves only -0.0."""
+    model = CNNClassifier(image_size=16, channels=(8, 16), hidden=64, rng=np.random.default_rng(0))
+    nn.vector_to_parameters(np.full(model.count_parameters(), value), model)
+    rng = np.random.default_rng(5)
+    images = np.zeros((6, 1, 16, 16))
+    images[:, :, 4:11, 5:12] = rng.random((6, 1, 7, 7))
+    h = images
+    pools = 0
+    for layer in model._stack:
+        if isinstance(layer, nn.MaxPool2d):
+            _assert_pool_backward_matches(h, layer.kernel_size, rng, f"pool {pools}")
+            pools += 1
+        h = layer(h)
+    assert pools == 2
