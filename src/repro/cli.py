@@ -74,10 +74,6 @@ def _add_config_args(parser: argparse.ArgumentParser) -> None:
                         help="latency channel: fixed per-message seconds")
     parser.add_argument("--bandwidth", type=float, default=None,
                         help="latency channel: link bytes/second (0 = infinite)")
-    parser.add_argument("--decoder-cache", action="store_true", default=None,
-                        help="enable the server-side decoder wire cache "
-                             "(a client's θ_j crosses the channel once; later "
-                             "uploads send an 8-byte reference)")
     parser.add_argument("--backend", choices=BACKEND_KINDS, default=None,
                         help="client execution backend (default: sequential; "
                              "'process' = worker-resident pool)")
@@ -153,8 +149,6 @@ def _config_from_args(args) -> FederationConfig:
     if getattr(args, "bandwidth", None) is not None:
         overrides["channel_bytes_per_s"] = args.bandwidth
         overrides.setdefault("channel", "latency")
-    if getattr(args, "decoder_cache", None):
-        overrides["decoder_cache"] = True
     if getattr(args, "backend", None) is not None:
         overrides["backend"] = args.backend
     if getattr(args, "workers", None) is not None:

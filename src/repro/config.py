@@ -115,7 +115,6 @@ class FederationConfig:
     channel_latency_base_s: float = 0.0   # latency: fixed per-message seconds
     channel_bytes_per_s: float = 0.0      # latency: link bandwidth (0 = infinite)
     channel_latency_spread: float = 0.0   # latency: per-client slowdown (lognormal σ)
-    decoder_cache: bool = False         # server-side θ_j wire cache (dedup uploads)
 
     # execution backend (repro.fl.parallel; a pure throughput knob — results
     # are identical across backends)
@@ -158,6 +157,29 @@ class FederationConfig:
             )
         if not 0.0 < self.server_lr <= 1.0:
             raise ValueError(f"server_lr must be in (0, 1], got {self.server_lr}")
+        if not 0.0 <= self.client_momentum < 1.0:
+            raise ValueError(
+                f"client_momentum must be in [0, 1), got {self.client_momentum}"
+            )
+        if self.client_optimizer not in ("sgd", "adam"):
+            raise ValueError(
+                f"unknown client_optimizer {self.client_optimizer!r}; "
+                f"expected one of ('sgd', 'adam')"
+            )
+        for name in ("clients_per_round", "batch_size", "cvae_batch_size",
+                     "samples_per_client_factor", "client_lr", "cvae_lr",
+                     "train_samples", "test_samples", "partition_alpha"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
+        for name in ("rounds", "local_epochs", "proximal_mu", "cvae_epochs",
+                     "stream_samples_per_round", "stream_window",
+                     "cvae_refresh_every", "virtual_samples_per_client",
+                     "channel_latency_base_s", "channel_bytes_per_s",
+                     "channel_latency_spread", "backend_workers", "retries",
+                     "retry_backoff_s", "deadline_s", "checkpoint_every",
+                     "buffer_size", "max_staleness", "async_concurrency"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.channel not in ("in_memory", "lossy", "latency"):
             raise ValueError(
                 f"unknown channel {self.channel!r}; "
@@ -167,10 +189,6 @@ class FederationConfig:
             raise ValueError(
                 f"channel_drop_prob must be in [0, 1], got {self.channel_drop_prob}"
             )
-        for name in ("channel_latency_base_s", "channel_bytes_per_s",
-                     "channel_latency_spread"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.partition_scheme not in (
             "dirichlet", "iid", "pathological", "virtual"
         ):
@@ -178,29 +196,14 @@ class FederationConfig:
                 f"unknown partition scheme {self.partition_scheme!r}; expected "
                 f"one of ('dirichlet', 'iid', 'pathological', 'virtual')"
             )
-        if self.virtual_samples_per_client < 0:
-            raise ValueError(
-                f"virtual_samples_per_client must be >= 0, "
-                f"got {self.virtual_samples_per_client}"
-            )
         if self.backend not in BACKEND_KINDS:
             raise ValueError(
                 f"unknown backend {self.backend!r}; expected one of {BACKEND_KINDS}"
-            )
-        if self.backend_workers < 0:
-            raise ValueError(
-                f"backend_workers must be >= 0, got {self.backend_workers}"
             )
         if self.engine not in ("loop", "batched"):
             raise ValueError(
                 f"unknown engine {self.engine!r}; expected one of ('loop', 'batched')"
             )
-        for name in ("retries", "checkpoint_every"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
-        for name in ("retry_backoff_s", "deadline_s"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         if not 0 <= self.min_quorum <= self.clients_per_round:
             raise ValueError(
                 f"min_quorum must be in [0, clients_per_round="
@@ -211,9 +214,6 @@ class FederationConfig:
                 f"unknown server mode {self.server_mode!r}; "
                 f"expected one of ('sync', 'async')"
             )
-        for name in ("buffer_size", "max_staleness", "async_concurrency"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.buffer_size > self.n_clients:
             raise ValueError(
                 f"buffer_size ({self.buffer_size}) exceeds n_clients "

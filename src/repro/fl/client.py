@@ -147,7 +147,6 @@ class FLClient:
         # Dynamic-dataset support (§VI-C): an optional DataStream the
         # client pulls fresh samples from each round.
         self.stream = stream
-        self._rounds_fit = 0
 
         if isinstance(attack, DataPoisoningAttack):
             dataset = attack.apply(dataset, rng)
@@ -156,7 +155,6 @@ class FLClient:
         # Shell model reused across rounds; weights are overwritten from the
         # incoming global vector at each fit() call.
         self._model = build_classifier(config.model, rng)
-        self._cvae = None
         self._decoder_vector: np.ndarray | None = None
         self._decoder_version = 0
         self.cvae_loss: float = float("nan")
@@ -176,7 +174,6 @@ class FLClient:
         streaming = self.stream is not None
         return {
             "rng_state": self.rng.bit_generator.state,
-            "rounds_fit": self._rounds_fit,
             "decoder_vector": (
                 None if self._decoder_vector is None
                 else np.array(self._decoder_vector)
@@ -190,7 +187,6 @@ class FLClient:
     def load_state_dict(self, state: dict) -> None:
         """Inverse of :meth:`state_dict` on a freshly constructed client."""
         self.rng.bit_generator.state = state["rng_state"]
-        self._rounds_fit = state["rounds_fit"]
         self._decoder_vector = state["decoder_vector"]
         self._decoder_version = state["decoder_version"]
         self.cvae_loss = state["cvae_loss"]
@@ -218,19 +214,15 @@ class FLClient:
             poison = getattr(self.attack, "poison_cvae_data", None)
             if poison is not None:
                 cvae_data = poison(self.dataset, self.rng)
-            # The CVAE object itself is transient: everything a resumed
-            # federation needs from it (_decoder_vector, cvae_loss,
-            # _decoder_version) IS checkpointed, and this branch never
-            # re-runs once _decoder_vector is restored (train-once).
-            self._cvae = build_cvae(cfg.model, self.rng)  # repro: noqa[RG301]
+            cvae = build_cvae(cfg.model, self.rng)
             self.cvae_loss = train_cvae(
-                self._cvae, cvae_data,
+                cvae, cvae_data,
                 epochs=cfg.cvae_epochs, lr=cfg.cvae_lr,
                 batch_size=cfg.cvae_batch_size, rng=self.rng,
             )
-            self._decoder_vector = nn.parameters_to_vector(self._cvae.decoder)
-            # Version every (re)train: the transport decoder cache and the
-            # resident backend's upload dedup key on it.
+            self._decoder_vector = nn.parameters_to_vector(cvae.decoder)
+            # Version every (re)train: the process pool ships θ_j back to
+            # the main process once per version.
             self._decoder_version += 1
         return self._decoder_vector
 
@@ -264,7 +256,6 @@ class FLClient:
         can grow the dataset (changing this round's batch schedule) and may
         consume this client's RNG (data-poisoning of fresh samples).
         """
-        self._rounds_fit += 1
         self.ingest_stream(round_idx)
 
     def finish_fit(
@@ -295,7 +286,6 @@ class FLClient:
             weights=weights,
             num_samples=self.num_samples,
             decoder_weights=decoder,
-            decoder_version=self._decoder_version if include_decoder else 0,
             # §VI-B: advertise which classes the CVAE actually saw, so a
             # class-aware server never asks a decoder for a digit it
             # cannot draw. (For a label-flipping client this reflects the

@@ -271,18 +271,15 @@ class FaultyChannel(Channel):
 
     Per-(direction, client) attempt counters reset each round; a server
     retry loop re-sending the same message bumps the counter, which is
-    what ``LinkFault.attempts`` keys on. The wrapper inherits the inner
-    channel's decoder-cache setting so the server's cache detection
-    (``decoder_cache_enabled``) keeps working through the wrapper.
+    what ``LinkFault.attempts`` keys on.
     """
 
     name = "faulty"
 
     def __init__(self, inner: Channel, plan: FaultPlan) -> None:
-        super().__init__(decoder_cache=inner.decoder_cache_enabled)
-        # The wrapper's template loops own all accounting (including the
-        # decoder cache, inherited above); the inner channel is consulted
-        # only through its transmit hooks.
+        super().__init__()
+        # The wrapper's template loops own all accounting; the inner
+        # channel is consulted only through its transmit hooks.
         self.inner = inner
         self.fault_plan = plan
         self.rng = np.random.default_rng([_FAULT_STREAM_TAG, plan.seed])

@@ -12,7 +12,7 @@ vector — published once per round through
 :mod:`multiprocessing.shared_memory` instead of pickled per client — and
 receives back, per fitted client, the update vector, scalars and the
 client's ``state_dict()``, with the CVAE decoder only the first time per
-:attr:`~repro.fl.updates.ClientUpdate.decoder_version`. Client→worker
+decoder version (every CVAE (re)train bumps it). Client→worker
 placement is **sticky** (``client_id mod workers``) because a worker's
 forked copy of the population goes stale: the worker that fitted a
 client last is the one holding it current, so datasets, models and

@@ -26,8 +26,8 @@ spawns, partition subsets, or stream objects up front:
     ``searchsorted``.
 
 * :class:`PackedStateStore` — per-client *mutable* state (PCG64 RNG
-  counters, rounds fit, decoder versions, CVAE losses) lives in one
-  packed NumPy structured array. Only clients that actually participated
+  counters, decoder versions, CVAE losses) lives in one packed NumPy
+  structured array. Only clients that actually participated
   own a row; decoder vectors and (opt-in) stream objects live in side
   tables keyed by id, O(touched) not O(n).
 
@@ -182,7 +182,6 @@ _STATE_DTYPE = np.dtype([
     ("rng_state_hi", np.uint64), ("rng_state_lo", np.uint64),
     ("rng_inc_hi", np.uint64), ("rng_inc_lo", np.uint64),
     ("rng_has_uint32", np.uint8), ("rng_uinteger", np.uint64),
-    ("rounds_fit", np.int64),
     ("decoder_version", np.int64),
     ("cvae_loss", np.float64),
 ])
@@ -243,7 +242,6 @@ class PackedStateStore:
         row["rng_inc_hi"], row["rng_inc_lo"] = inc_hi, inc_lo
         row["rng_has_uint32"] = rng_state["has_uint32"]
         row["rng_uinteger"] = rng_state["uinteger"]
-        row["rounds_fit"] = state["rounds_fit"]
         row["decoder_version"] = state["decoder_version"]
         row["cvae_loss"] = state["cvae_loss"]
         if state["decoder_vector"] is not None:
@@ -271,7 +269,6 @@ class PackedStateStore:
                 "has_uint32": int(row["rng_has_uint32"]),
                 "uinteger": int(row["rng_uinteger"]),
             },
-            "rounds_fit": int(row["rounds_fit"]),
             "decoder_vector": self._decoders.get(cid),
             "decoder_version": int(row["decoder_version"]),
             "cvae_loss": float(row["cvae_loss"]),

@@ -428,12 +428,8 @@ class Server:
             "transport_latency_max_s": stats.max_latency_s,
             **mode_metrics,
         }
-        # Decoder-cache and recovery metrics appear only when their knobs
-        # are on, keeping default-config records byte-identical (golden
-        # histories).
-        if getattr(self.channel, "decoder_cache_enabled", False):
-            metrics["decoder_cache_hits"] = stats.decoder_cache_hits
-            metrics["decoder_cache_saved_nbytes"] = stats.decoder_cache_saved_nbytes
+        # Recovery metrics appear only when their knobs are on, keeping
+        # default-config records byte-identical (golden histories).
         if self.config.retries > 0:
             metrics["retry_wait_s"] = ctx.retry_wait_s
         if self.config.deadline_s > 0.0:

@@ -42,9 +42,10 @@ __all__ = [
 # any incompatible change so ``restore_federation`` can refuse clearly.
 # v2 added the server-mode state (the async event queue / buffer); v3
 # dropped the ``population`` key from the stored config; v4 dropped its
-# state-store and worker-residency-cap keys. Only the current version
-# restores.
-CHECKPOINT_VERSION = 4
+# state-store and worker-residency-cap keys; v5 dropped its
+# ``decoder_cache`` key, the channel's decoder wire cache and the clients'
+# ``rounds_fit`` counter. Only the current version restores.
+CHECKPOINT_VERSION = 5
 
 # Auxiliary-dataset size granted to defenses that assume public data
 # (Spectral). Kept small relative to the training set — the paper's

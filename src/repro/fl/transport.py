@@ -14,14 +14,6 @@ implicit assumption into an explicit seam:
 * :class:`Channel` decides which messages are delivered, annotates them
   with transmission latency, and owns the round's byte/count accounting
   (:class:`TransportStats`).
-* The optional **decoder cache** (``decoder_cache=True``, off by default
-  to keep the paper's Table V accounting) deduplicates CVAE decoder
-  uploads: a client's θ_j crosses the wire once per
-  :attr:`~repro.fl.updates.ClientUpdate.decoder_version` and later rounds
-  carry only a (client_id, version) reference that the server replays
-  from its cache. The cache fills only on *delivered* submissions, which
-  models acknowledgement exactly — a dropped first upload means the next
-  one ships in full. Savings are reported in :class:`TransportStats`.
 
 Three built-in channels:
 
@@ -53,7 +45,6 @@ __all__ = [
     "payload_nbytes",
     "broadcast_nbytes",
     "update_nbytes",
-    "DECODER_REF_NBYTES",
     "BroadcastMessage",
     "SubmitMessage",
     "TransportStats",
@@ -68,10 +59,6 @@ __all__ = [
 # Derives the channel RNG from the federation seed without touching the
 # root generator's spawn sequence (which the simulation seeding owns).
 _CHANNEL_STREAM_TAG = 0x7C4A77E1
-
-# Wire size of a decoder-cache reference: (client_id, decoder_version),
-# 4 bytes each — what a deduplicated submission carries instead of θ_j.
-DECODER_REF_NBYTES = 8
 
 
 def payload_nbytes(n_params: int) -> int:
@@ -115,7 +102,6 @@ class SubmitMessage:
     update: ClientUpdate
     client_time_s: float = 0.0  # local compute (training) time
     latency_s: float = 0.0      # transmission latency assigned by the channel
-    decoder_from_cache: bool = False  # θ_j replaced by a cache reference
 
     @property
     def client_id(self) -> int:
@@ -123,8 +109,6 @@ class SubmitMessage:
 
     @property
     def nbytes(self) -> int:
-        if self.decoder_from_cache:
-            return payload_nbytes(self.update.weights.size) + DECODER_REF_NBYTES
         return update_nbytes(self.update)
 
 
@@ -139,8 +123,6 @@ class TransportStats:
     download_nbytes: int = 0  # server → client bytes actually delivered
     upload_nbytes: int = 0    # client → server bytes actually delivered
     max_latency_s: float = 0.0
-    decoder_cache_hits: int = 0        # submissions that carried a θ_j reference
-    decoder_cache_saved_nbytes: int = 0  # wire bytes the dedup avoided
 
     @property
     def broadcasts_dropped(self) -> int:
@@ -157,28 +139,14 @@ class Channel:
 
     A hook returns the (possibly latency-annotated) message to deliver it,
     or ``None`` to drop it. The base implementation delivers everything
-    with zero latency.
-
-    With ``decoder_cache=True`` the channel additionally deduplicates
-    decoder uploads: a delivered θ_j is cached under (client_id, version),
-    and any later submission carrying an already-cached version is counted
-    as a :data:`DECODER_REF_NBYTES` reference and rehydrated server-side.
-    The cache persists across rounds (it *is* the server's acknowledged
-    state); per-round hit/savings counters live in :class:`TransportStats`.
+    with zero latency. Every submission carries its full payload: ψ_j,
+    plus θ_j when the client ships a decoder (Table V's upload).
     """
 
     name: str = "channel"
 
-    def __init__(self, decoder_cache: bool = False) -> None:
+    def __init__(self) -> None:
         self.stats = TransportStats()
-        # client_id -> (decoder_version, θ_j vector); None = dedup disabled.
-        self._decoder_cache: dict[int, tuple[int, np.ndarray]] | None = (
-            {} if decoder_cache else None
-        )
-
-    @property
-    def decoder_cache_enabled(self) -> bool:
-        return self._decoder_cache is not None
 
     def open_round(self, round_idx: int) -> None:
         """Reset per-round accounting; called by the server each round."""
@@ -204,58 +172,13 @@ class Channel:
         delivered = []
         for message in messages:
             self.stats.submits_sent += 1
-            if self._decoder_cache is not None:
-                # Sender side: a client whose θ_j version the server has
-                # already acknowledged uploads a reference instead. The
-                # marked message is smaller *before* transmission, so
-                # size-dependent channels (latency) see the real payload.
-                self._mark_cached_decoder(message)
             out = self.transmit_submit(message)
             if out is not None:
                 self.stats.submits_delivered += 1
-                if self._decoder_cache is not None:
-                    self._ack_decoder(out)
                 self.stats.upload_nbytes += out.nbytes
                 self.stats.max_latency_s = max(self.stats.max_latency_s, out.latency_s)
                 delivered.append(out)
         return delivered
-
-    def _mark_cached_decoder(self, message: SubmitMessage) -> None:
-        """Turn an already-acknowledged θ_j upload into a cache reference.
-
-        The submission's ``nbytes`` shrink to ψ_j plus
-        :data:`DECODER_REF_NBYTES`; the decoder vector is replayed from
-        the server-side copy (bit-identical — same version, same bytes),
-        so downstream aggregation never sees the difference.
-        """
-        update = message.update
-        if update.decoder_weights is None:
-            return
-        cached = self._decoder_cache.get(update.client_id)
-        if cached is not None and cached[0] == update.decoder_version:
-            message.decoder_from_cache = True
-            update.decoder_weights = cached[1]
-
-    def _ack_decoder(self, message: SubmitMessage) -> None:
-        """Account a *delivered* submission against the decoder cache.
-
-        A delivered full θ_j is stored — delivery is the acknowledgement,
-        so a client whose first upload was dropped ships in full again. A
-        delivered reference counts the wire bytes the dedup avoided.
-        """
-        update = message.update
-        if update.decoder_weights is None:
-            return
-        if message.decoder_from_cache:
-            self.stats.decoder_cache_hits += 1
-            self.stats.decoder_cache_saved_nbytes += (
-                payload_nbytes(update.decoder_weights.size) - DECODER_REF_NBYTES
-            )
-        else:
-            self._decoder_cache[update.client_id] = (
-                update.decoder_version,
-                update.decoder_weights,
-            )
 
     # -- per-message hooks ----------------------------------------------------
     def transmit_broadcast(self, message: BroadcastMessage) -> BroadcastMessage | None:
@@ -289,11 +212,10 @@ class LossyChannel(Channel):
         drop_prob: float,
         rng: np.random.Generator | None = None,
         seed: int = 0,
-        decoder_cache: bool = False,
     ) -> None:
         if not 0.0 <= drop_prob <= 1.0:
             raise ValueError(f"drop_prob must be in [0, 1], got {drop_prob}")
-        super().__init__(decoder_cache=decoder_cache)
+        super().__init__()
         self.drop_prob = drop_prob
         self.rng = rng if rng is not None else np.random.default_rng(seed)
 
@@ -326,7 +248,6 @@ class LatencyChannel(Channel):
         spread: float = 0.0,
         rng: np.random.Generator | None = None,
         seed: int = 0,
-        decoder_cache: bool = False,
     ) -> None:
         if base_s < 0:
             raise ValueError(f"base_s must be >= 0, got {base_s}")
@@ -334,7 +255,7 @@ class LatencyChannel(Channel):
             raise ValueError(f"bytes_per_s must be >= 0, got {bytes_per_s}")
         if spread < 0:
             raise ValueError(f"spread must be >= 0, got {spread}")
-        super().__init__(decoder_cache=decoder_cache)
+        super().__init__()
         self.base_s = base_s
         self.bytes_per_s = bytes_per_s
         self.spread = spread
@@ -376,18 +297,16 @@ def make_channel(config) -> Channel:
     simulation's root RNG spawn sequence.
     """
     kind = config.channel
-    dedup = config.decoder_cache
     if kind == "in_memory":
-        return InMemoryChannel(decoder_cache=dedup)
+        return InMemoryChannel()
     rng = np.random.default_rng([_CHANNEL_STREAM_TAG, config.seed])
     if kind == "lossy":
-        return LossyChannel(config.channel_drop_prob, rng=rng, decoder_cache=dedup)
+        return LossyChannel(config.channel_drop_prob, rng=rng)
     if kind == "latency":
         return LatencyChannel(
             base_s=config.channel_latency_base_s,
             bytes_per_s=config.channel_bytes_per_s,
             spread=config.channel_latency_spread,
             rng=rng,
-            decoder_cache=dedup,
         )
     raise ValueError(f"unknown channel kind {kind!r}; known: {CHANNEL_KINDS}")

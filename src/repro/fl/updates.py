@@ -27,8 +27,6 @@ class ClientUpdate:
     num_samples: int
     decoder_weights: np.ndarray | None = None  # flattened CVAE decoder θ_j
     decoder_classes: np.ndarray | None = None  # classes the CVAE saw (§VI-B)
-    decoder_version: int = 0                # bumps on every CVAE (re)train; the
-                                            # transport decoder cache's dedup key
     train_loss: float = float("nan")
     malicious: bool = False                 # ground truth, for diagnostics only:
                                             # no defense is allowed to read this.

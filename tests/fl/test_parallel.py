@@ -41,7 +41,7 @@ class TestProcessPoolBackend:
             seq_server.global_weights, par_server.global_weights
         )
 
-    def test_decoder_cache_written_back(self):
+    def test_decoders_written_back(self):
         """The train-once CVAE contract must survive process shipping: after
         a parallel round, the main-process clients hold their decoders."""
         config = FederationConfig.tiny()
@@ -54,7 +54,8 @@ class TestProcessPoolBackend:
                 c for c in server.clients if c._decoder_vector is not None
             ]
             assert len(sampled_with_decoder) >= config.clients_per_round
-            # Versions come back too — the wire decoder cache keys on them.
+            # Versions come back too — the pool's IPC dedup ships a
+            # decoder once per version.
             assert all(c._decoder_version == 1 for c in sampled_with_decoder)
 
     def test_close_is_idempotent(self):

@@ -97,7 +97,6 @@ class TestPackedStateStore:
     def pcg_state(self, seed):
         return {
             "rng_state": np.random.default_rng(seed).bit_generator.state,
-            "rounds_fit": 3,
             "decoder_vector": np.arange(4, dtype=np.float64),
             "decoder_version": 2,
             "cvae_loss": 0.25,
@@ -111,7 +110,7 @@ class TestPackedStateStore:
         store.pack(9, state)
         out = store.unpack(9)
         assert out["rng_state"] == state["rng_state"]
-        assert out["rounds_fit"] == 3 and out["decoder_version"] == 2
+        assert out["decoder_version"] == 2
         assert out["cvae_loss"] == 0.25
         np.testing.assert_array_equal(out["decoder_vector"], state["decoder_vector"])
         assert out["stream"] is None and out["dataset"] is None
@@ -128,12 +127,12 @@ class TestPackedStateStore:
         store = PackedStateStore(initial_capacity=2)
         for cid in range(9):
             state = self.pcg_state(cid)
-            state["rounds_fit"] = cid
+            state["decoder_version"] = cid
             store.pack(cid, state)
         assert len(store) == 9
         assert store.touched_ids() == list(range(9))
         for cid in range(9):
-            assert store.unpack(cid)["rounds_fit"] == cid
+            assert store.unpack(cid)["decoder_version"] == cid
 
     def test_non_pcg64_rng_refused(self):
         store = PackedStateStore()

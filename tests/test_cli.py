@@ -30,12 +30,13 @@ class TestParser:
     @pytest.mark.parametrize("flag, value", [
         ("--resident-cap", "4"),
         ("--population-store", "mmap"),
+        pytest.param("--decoder-cache", None, id="--decoder-cache"),
     ])
     def test_retired_client_state_flags_rejected(self, flag, value, capsys):
+        args = [flag] if value is None else [flag, value]
         with pytest.raises(SystemExit) as exc:
             build_parser().parse_args(
-                ["run", "--strategy", "fedavg", "--scenario", "no_attack",
-                 flag, value]
+                ["run", "--strategy", "fedavg", "--scenario", "no_attack", *args]
             )
         assert exc.value.code == 2
         assert flag in capsys.readouterr().err

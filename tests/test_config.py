@@ -45,6 +45,32 @@ class TestFederationConfig:
         with pytest.raises(ValueError):
             FederationConfig(n_clients=5, clients_per_round=6)
 
+    @pytest.mark.parametrize("field, value", [
+        ("client_optimizer", "adamw"),
+        ("batch_size", 0),
+        ("cvae_batch_size", 0),
+        ("client_lr", 0.0),
+        ("cvae_lr", 0.0),
+        ("client_momentum", 1.0),
+        ("samples_per_client_factor", 0),
+        ("clients_per_round", 0),
+        ("rounds", -1),
+        ("local_epochs", -1),
+        ("cvae_epochs", -1),
+        ("stream_samples_per_round", -1),
+        ("stream_window", -1),
+        ("cvae_refresh_every", -1),
+        ("proximal_mu", -1.0),
+        ("train_samples", 0),
+        ("test_samples", 0),
+        ("partition_alpha", 0.0),
+    ])
+    def test_invalid_value_refused_naming_field(self, field, value):
+        # Left to run, each value fails at the first fit, audit or build,
+        # or silently acts as 0.
+        with pytest.raises(ValueError, match=field):
+            FederationConfig.tiny(**{field: value})
+
     def test_server_lr_bounds(self):
         with pytest.raises(ValueError):
             FederationConfig(server_lr=0.0)

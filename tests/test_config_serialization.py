@@ -63,6 +63,7 @@ class TestFederationConfigSerialization:
     @pytest.mark.parametrize("key, value", [
         ("population_store", "ram"),
         ("population_resident_cap", 0),
+        ("decoder_cache", True),
     ])
     def test_retired_client_state_keys_rejected(self, key, value):
         # A manifest.json written while these keys existed is refused.
