@@ -157,7 +157,6 @@ class FLClient:
         self._model = build_classifier(config.model, rng)
         self._decoder_vector: np.ndarray | None = None
         self._decoder_version = 0
-        self.cvae_loss: float = float("nan")
 
     # -- checkpointing --------------------------------------------------------
     def state_dict(self) -> dict:
@@ -179,7 +178,6 @@ class FLClient:
                 else np.array(self._decoder_vector)
             ),
             "decoder_version": self._decoder_version,
-            "cvae_loss": self.cvae_loss,
             "stream": self.stream if streaming else None,
             "dataset": self.dataset if streaming else None,
         }
@@ -189,7 +187,6 @@ class FLClient:
         self.rng.bit_generator.state = state["rng_state"]
         self._decoder_vector = state["decoder_vector"]
         self._decoder_version = state["decoder_version"]
-        self.cvae_loss = state["cvae_loss"]
         if state["stream"] is not None:
             self.stream = state["stream"]
             self.dataset = state["dataset"]
@@ -215,7 +212,7 @@ class FLClient:
             if poison is not None:
                 cvae_data = poison(self.dataset, self.rng)
             cvae = build_cvae(cfg.model, self.rng)
-            self.cvae_loss = train_cvae(
+            train_cvae(
                 cvae, cvae_data,
                 epochs=cfg.cvae_epochs, lr=cfg.cvae_lr,
                 batch_size=cfg.cvae_batch_size, rng=self.rng,

@@ -6,18 +6,18 @@ module provides the equivalent for the simulation.
 persistent worker process starts with the server's client population and
 builds a client from it (``population.materialize``: construct, then
 overlay the client's state) the first time a round names that client,
-then keeps it as a cache. A round ships only
-``(round_idx, include_decoder, client_ids)`` plus the global weight
-vector — published once per round through
-:mod:`multiprocessing.shared_memory` instead of pickled per client — and
-receives back, per fitted client, the update vector, scalars and the
-client's ``state_dict()``, with the CVAE decoder only the first time per
-decoder version (every CVAE (re)train bumps it). Client→worker
-placement is **sticky** (``client_id mod workers``) because a worker's
-forked copy of the population goes stale: the worker that fitted a
-client last is the one holding it current, so datasets, models and
-trained CVAEs do not cross a process boundary again — as on the paper's
-testbed, where each client's data and CVAE stay on its own node.
+then keeps it as a cache. A round ships one message per busy worker,
+``(round_idx, include_decoder, client_ids, ψ)`` — the global weight
+vector rides inside it, as the paper's Flower client receives it in
+``fit(parameters, config)`` — and receives back, per fitted client, the
+update vector, scalars and the client's ``state_dict()``, with the CVAE
+decoder only the first time per decoder version (every CVAE (re)train
+bumps it). Client→worker placement is **sticky** (``client_id mod
+workers``) because a worker's forked copy of the population goes stale:
+the worker that fitted a client last is the one holding it current, so
+datasets, models and trained CVAEs do not cross a process boundary
+again — as on the paper's testbed, where each client's data and CVAE
+stay on its own node.
 
 Notes for users:
 
@@ -59,7 +59,6 @@ import pickle
 import traceback
 from collections import Counter
 from dataclasses import dataclass
-from multiprocessing import shared_memory
 
 import numpy as np
 
@@ -182,49 +181,6 @@ class SequentialBackend(ExecutionBackend):
 # Worker-resident process pool
 # ---------------------------------------------------------------------------
 
-def _attach_untracked(name: str) -> shared_memory.SharedMemory:
-    """Attach to an existing segment without resource-tracker registration.
-
-    Before 3.13 attaching registers the segment as if this process owned
-    it; with the tracker shared across forked workers and keyed by name,
-    reader-side registrations corrupt the creator's accounting (spurious
-    unlink warnings / KeyErrors at shutdown). The main process is the sole
-    owner and unlinker, so readers attach untracked.
-    """
-    from multiprocessing import resource_tracker
-
-    original = resource_tracker.register
-
-    def register_skipping_shm(path, rtype):
-        if rtype != "shared_memory":
-            original(path, rtype)
-
-    resource_tracker.register = register_skipping_shm
-    try:
-        return shared_memory.SharedMemory(name=name)
-    finally:
-        resource_tracker.register = original
-
-
-def _resolve_weights(ref):
-    """Worker side: materialize the round's global weight vector.
-
-    A shared-memory reference is copied out immediately and the segment
-    closed — the main process unlinks it right after the round, and no
-    client may keep a view into a vanishing buffer (``bind_global`` hooks
-    hold on to the vector).
-    """
-    if ref[0] == "shm":
-        _, name, shape, dtype = ref
-        segment = _attach_untracked(name)
-        try:
-            view = np.ndarray(shape, dtype=dtype, buffer=segment.buf)
-            return np.array(view)
-        finally:
-            segment.close()
-    return ref[1]
-
-
 def _pack_fit(client: FLClient, update: ClientUpdate, elapsed: float,
               shipped_versions: dict[int, int]) -> tuple:
     """Worker side: one fitted client's reply, ``(update, state, elapsed)``.
@@ -257,7 +213,8 @@ def _resident_worker_main(conn, population=None, engine_kind: str = "loop") -> N
     Protocol (every message is one pickled tuple over the duplex pipe):
 
     * ``("round", round_idx, include_decoder, [client_id, ...],
-      weights_ref)`` — fit the listed clients in order; replies
+      weights)`` — fit the listed clients in order against the global
+      vector ``weights``, which the unpickled message owns; replies
       ``("ok", [(update, state, elapsed), ...])`` or
       ``("error", traceback)``.
     * ``("close",)`` — exit.
@@ -276,7 +233,7 @@ def _resident_worker_main(conn, population=None, engine_kind: str = "loop") -> N
             return
         try:
             if kind == "round":
-                _, round_idx, include_decoder, client_ids, weights_ref = message
+                _, round_idx, include_decoder, client_ids, weights = message
                 for cid in client_ids:
                     if cid not in clients:
                         if population is None:
@@ -284,8 +241,7 @@ def _resident_worker_main(conn, population=None, engine_kind: str = "loop") -> N
                         clients[cid] = population.materialize(cid)
                 fitted = [clients[cid] for cid in client_ids]
                 updates, times = engine.fit_clients(
-                    fitted, _resolve_weights(weights_ref), include_decoder,
-                    round_idx,
+                    fitted, weights, include_decoder, round_idx
                 )
                 reply = ("ok", [
                     _pack_fit(client, update, elapsed, shipped_versions)
@@ -354,7 +310,8 @@ class ProcessPoolBackend(ExecutionBackend):
     Parameters
     ----------
     max_workers:
-        Worker process count; ``None`` uses the CPU count.
+        Worker process count; ``None`` or 0 uses the CPU count, and a
+        negative count is refused.
     engine:
         Training engine each worker runs over its resident group
         (``"loop"`` or ``"batched"``; see :mod:`repro.fl.batched`).
@@ -365,6 +322,8 @@ class ProcessPoolBackend(ExecutionBackend):
     def __init__(self, max_workers: int | None = None,
                  engine: str = "loop") -> None:
         super().__init__()
+        if max_workers is not None and max_workers < 0:
+            raise ValueError(f"max_workers must be >= 0 or None, got {max_workers}")
         self.max_workers = max_workers
         if engine not in ("loop", "batched"):
             raise ValueError(f"unknown engine kind {engine!r}")
@@ -394,8 +353,8 @@ class ProcessPoolBackend(ExecutionBackend):
         if self._workers is None:
             n = self.max_workers or os.cpu_count() or 1
             methods = multiprocessing.get_all_start_methods()
-            # fork shares the population (nothing pickled) and the resource
-            # tracker; fall back to the platform default elsewhere.
+            # fork shares the population (nothing pickled); fall back to
+            # the platform default elsewhere.
             self._mp_ctx = multiprocessing.get_context(
                 "fork" if "fork" in methods else None
             )
@@ -443,15 +402,6 @@ class ProcessPoolBackend(ExecutionBackend):
         for worker_idx, handle in enumerate(self._workers):
             if not handle.process.is_alive():
                 self._respawn_worker(worker_idx)
-
-    def _publish_weights(self, weights: np.ndarray):
-        """Publish ψ* once for the whole round; returns (ref, segment)."""
-        try:
-            segment = shared_memory.SharedMemory(create=True, size=weights.nbytes)
-        except OSError:  # pragma: no cover - platform without POSIX shm
-            return ("inline", weights), None
-        np.ndarray(weights.shape, dtype=weights.dtype, buffer=segment.buf)[:] = weights
-        return ("shm", segment.name, weights.shape, str(weights.dtype)), segment
 
     # -- the round -----------------------------------------------------------
     def _dispatch_round(self, worker_idx: int, round_args: tuple) -> None:
@@ -530,12 +480,11 @@ class ProcessPoolBackend(ExecutionBackend):
         # Replace workers that died since last round (crash injection).
         self._reap_dead_workers()
 
-        ref, segment = self._publish_weights(weights)
         # Sticky placement: client_id mod workers, stable for the whole
         # federation, so resident state (CVAE, stream, RNG) never moves.
         n = len(workers)
         round_args = {
-            worker_idx: (round_idx, include_decoder, ids, ref)
+            worker_idx: (round_idx, include_decoder, ids, weights)
             for worker_idx in range(n)
             if (ids := [c.client_id for c in clients if c.client_id % n == worker_idx])
         }
@@ -551,16 +500,11 @@ class ProcessPoolBackend(ExecutionBackend):
                 collect_items[i]
                 for i in adversary.permutation(len(collect_items))
             ]
-        try:
-            for worker_idx, args in round_args.items():
-                self._dispatch_round(worker_idx, args)
-            for worker_idx, args in collect_items:
-                for packed in self._collect_round(worker_idx, args):
-                    packed_by_id[packed[0].client_id] = packed
-        finally:
-            if segment is not None:
-                segment.close()
-                segment.unlink()
+        for worker_idx, args in round_args.items():
+            self._dispatch_round(worker_idx, args)
+        for worker_idx, args in collect_items:
+            for packed in self._collect_round(worker_idx, args):
+                packed_by_id[packed[0].client_id] = packed
 
         # Reassemble in round order.
         updates, times = [], []

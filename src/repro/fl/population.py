@@ -26,10 +26,10 @@ spawns, partition subsets, or stream objects up front:
     ``searchsorted``.
 
 * :class:`PackedStateStore` — per-client *mutable* state (PCG64 RNG
-  counters, decoder versions, CVAE losses) lives in one packed NumPy
-  structured array. Only clients that actually participated
-  own a row; decoder vectors and (opt-in) stream objects live in side
-  tables keyed by id, O(touched) not O(n).
+  counters, decoder versions) lives in one packed NumPy structured
+  array. Only clients that actually participated own a row; decoder
+  vectors and (opt-in) stream objects live in side tables keyed by id,
+  O(touched) not O(n).
 
 * :class:`EagerPopulation` — the adapter wrapping a live client list.
   Hand-built servers (``Server(clients=[...])``) go through it; the server
@@ -183,7 +183,6 @@ _STATE_DTYPE = np.dtype([
     ("rng_inc_hi", np.uint64), ("rng_inc_lo", np.uint64),
     ("rng_has_uint32", np.uint8), ("rng_uinteger", np.uint64),
     ("decoder_version", np.int64),
-    ("cvae_loss", np.float64),
 ])
 
 _U64 = 1 << 64
@@ -243,7 +242,6 @@ class PackedStateStore:
         row["rng_has_uint32"] = rng_state["has_uint32"]
         row["rng_uinteger"] = rng_state["uinteger"]
         row["decoder_version"] = state["decoder_version"]
-        row["cvae_loss"] = state["cvae_loss"]
         if state["decoder_vector"] is not None:
             self._decoders[cid] = state["decoder_vector"]
         else:
@@ -271,7 +269,6 @@ class PackedStateStore:
             },
             "decoder_vector": self._decoders.get(cid),
             "decoder_version": int(row["decoder_version"]),
-            "cvae_loss": float(row["cvae_loss"]),
             "stream": stream,
             "dataset": dataset,
         }

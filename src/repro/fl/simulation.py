@@ -44,8 +44,9 @@ __all__ = [
 # dropped the ``population`` key from the stored config; v4 dropped its
 # state-store and worker-residency-cap keys; v5 dropped its
 # ``decoder_cache`` key, the channel's decoder wire cache and the clients'
-# ``rounds_fit`` counter. Only the current version restores.
-CHECKPOINT_VERSION = 5
+# ``rounds_fit`` counter; v6 dropped the clients' ``cvae_loss``. Only the
+# current version restores.
+CHECKPOINT_VERSION = 6
 
 # Auxiliary-dataset size granted to defenses that assume public data
 # (Spectral). Kept small relative to the training set — the paper's

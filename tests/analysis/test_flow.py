@@ -195,8 +195,9 @@ class TestDataflowPrecision:
 
 class TestProtocolScoping:
     def test_payload_discriminator_is_not_a_message_tag(self):
-        # ref[0] on a plain parameter must not register dispatch branches
-        # (the real-tree `_resolve_weights(ref)` shape).
+        # ref[0] on a plain parameter must not register dispatch branches:
+        # a helper that branches on a payload's first field is not a
+        # receiver of the module's message tags.
         findings = analyze_source(
             "import pickle\n"
             "def resolve(ref):\n"

@@ -410,10 +410,10 @@ class TestCheckpointCompat:
         history = server.run()
         state = federation_state(server, history)
         # v1 predates the mode state, v2 still stores the ``population``
-        # config key, v3 the two retired client-state keys and v4 the
-        # decoder wire cache and the clients' round counter; only the
-        # current version restores.
-        for version in (1, 2, 3, 4, 99):
+        # config key, v3 the two retired client-state keys, v4 the
+        # decoder wire cache and the clients' round counter and v5 the
+        # clients' CVAE loss; only the current version restores.
+        for version in (1, 2, 3, 4, 5, 99):
             state["version"] = version
             with pytest.raises(ValueError, match="unsupported checkpoint version"):
                 restore_federation(state)

@@ -99,7 +99,6 @@ class TestPackedStateStore:
             "rng_state": np.random.default_rng(seed).bit_generator.state,
             "decoder_vector": np.arange(4, dtype=np.float64),
             "decoder_version": 2,
-            "cvae_loss": 0.25,
             "stream": None,
             "dataset": None,
         }
@@ -111,7 +110,6 @@ class TestPackedStateStore:
         out = store.unpack(9)
         assert out["rng_state"] == state["rng_state"]
         assert out["decoder_version"] == 2
-        assert out["cvae_loss"] == 0.25
         np.testing.assert_array_equal(out["decoder_vector"], state["decoder_vector"])
         assert out["stream"] is None and out["dataset"] is None
 

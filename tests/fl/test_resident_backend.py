@@ -3,16 +3,17 @@
 The resident :class:`~repro.fl.parallel.ProcessPoolBackend` keeps clients
 cached inside persistent worker processes, each built there from the
 server's population the first time a round names it, and returns every
-fitted client's state to that population. Rounds ship client ids, the
-global vector via shared memory, and each decoder at most once per
-version. None of that may change a single bit of any federation — the
-sequential backend is the referee, across every registered strategy,
-through a lossy channel, on a pool reused for another federation, and on
-a pool that loses a worker.
+fitted client's state to that population. A round sends each busy
+worker one message holding its client ids and the global vector, and
+each decoder crosses back at most once per version. None of that may
+change a single bit of any federation — the sequential backend is the
+referee, across every registered strategy, through a lossy channel, on a
+pool reused for another federation, and on a pool that loses a worker.
 """
 
 import multiprocessing
 import pickle
+from multiprocessing import shared_memory
 from types import SimpleNamespace
 
 import numpy as np
@@ -338,7 +339,7 @@ class TestWorkerProtocol:
         # worker keeps serving — it still answers and closes cleanly.
         for _ in range(2):
             status, payload = self._ask(
-                conn, ("round", 1, False, [3], ("inline", np.zeros(4)))
+                conn, ("round", 1, False, [3], np.zeros(4))
             )
             assert status == "error"
             assert "client 3" in payload
@@ -347,14 +348,47 @@ class TestWorkerProtocol:
         assert process.exitcode == 0
 
 
+class TestRoundMessage:
+    """ψ travels inside the round message, as Alg. 1 hands it to each
+    sampled client: the pool creates no shared-memory segment, sync or
+    async, and still reads the sequential history."""
+
+    @pytest.mark.parametrize("overrides", [
+        {},
+        {"server_mode": "async", "buffer_size": 3},
+    ], ids=["sync", "async"])
+    def test_no_segment_created(self, monkeypatch, overrides):
+        config = FederationConfig.tiny(rounds=2, **overrides)
+        created = []
+        original = shared_memory.SharedMemory
+
+        def recording(*args, **kwargs):
+            if kwargs.get("create") or (len(args) > 1 and args[1]):
+                created.append(kwargs.get("size"))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(shared_memory, "SharedMemory", recording)
+        seq = build_federation(config, FedGuard(), no_attack()).run()
+        with ProcessPoolBackend(max_workers=2) as backend:
+            res = build_federation(
+                config, FedGuard(), no_attack(), backend=backend
+            ).run()
+        assert created == []
+        assert _strip_clocks(seq) == _strip_clocks(res)
+
+
 class TestDecoderDedup:
-    def test_first_round_ships_only_ids(self):
+    def test_first_round_ships_ids_and_the_global_vector(self):
         # Workers build their clients from the population they started
-        # with, so even round 1 sends one short round message per worker.
+        # with, so even round 1 sends one round message per worker: its
+        # client ids and the global vector.
         config = FederationConfig.tiny(rounds=1)
         with ProcessPoolBackend(max_workers=2) as backend:
-            build_federation(config, FedGuard(), no_attack(), backend=backend).run()
-            assert backend.ipc_stats.bytes_sent < 1024
+            server = build_federation(config, FedGuard(), no_attack(), backend=backend)
+            server.run()
+            assert backend.ipc_stats.bytes_sent < 2 * (
+                server.global_weights.nbytes + 1024
+            )
 
     def test_steady_state_rounds_ship_only_vectors(self):
         """The whole point: rounds move vectors and scalars — not
@@ -372,9 +406,9 @@ class TestDecoderDedup:
             for round_idx in (2, 3):
                 sent, received = stats.bytes_sent, stats.bytes_received
                 server.run_round(round_idx)
-                # One round message per worker: the global vector itself
-                # travels through shared memory.
-                assert stats.bytes_sent - sent < 1024
+                # One round message per worker: its client ids and the
+                # global vector.
+                assert stats.bytes_sent - sent < 2 * per_update
                 # Per client, one update vector plus scalars; decoders are
                 # read from the checked-out clients.
                 assert stats.bytes_received - received <= (
