@@ -50,11 +50,11 @@ class Dataset:
 
     # -- views / derivation ---------------------------------------------------
     def subset(self, indices: np.ndarray) -> "Dataset":
-        """Independent copy of the selected rows."""
+        """Independent copy of the selected rows (fancy indexing copies)."""
         indices = np.asarray(indices, dtype=np.int64)
         return Dataset(
-            self.features[indices].copy(),
-            self.labels[indices].copy(),
+            self.features[indices],
+            self.labels[indices],
             num_classes=self.num_classes,
             image_size=self.image_size,
         )

@@ -16,11 +16,20 @@ Attack plumbing mirrors the threat model:
 Per the paper's footnote 5, the partition is static so the CVAE is trained
 once and cached across rounds.
 
+A client owns no classifier. Every fit and evaluation overwrites all of
+a model's weights from the incoming vector before reading any, so the
+clients of one process share one classifier shell per
+:class:`~repro.config.ModelConfig`, as the paper's Flower client keeps one
+model per client process and overwrites it on every ``fit``. The shell's
+optimizers adopt its flat buffers after the first fit
+(:mod:`repro.nn.optim`), so loading and flattening weights are one copy
+each.
+
 With the worker-resident execution backend
 (:class:`~repro.fl.parallel.ProcessPoolBackend`), a worker process builds
 each of its clients from the server's population and keeps it as a
-cache, so a client's dataset and model shell do not cross a process
-boundary. After each fit the worker returns the client's
+cache, so a client's dataset does not cross a process boundary, and each
+worker has its own shell. After each fit the worker returns the client's
 :meth:`FLClient.state_dict` with its update (the decoder once per
 version), and the main-process population stores it, as on the
 sequential backend.
@@ -32,12 +41,27 @@ import numpy as np
 
 from .. import nn
 from ..attacks.base import Attack, DataPoisoningAttack, ModelPoisoningAttack
-from ..config import FederationConfig
+from ..config import FederationConfig, ModelConfig
 from ..data.dataset import Dataset
 from ..models import build_classifier, build_cvae
 from .updates import ClientUpdate
 
 __all__ = ["FLClient", "train_classifier", "train_cvae"]
+
+# One classifier shell, with its parameter count, per architecture in this
+# process. Its weights are whatever the last fit or evaluation loaded, which
+# is safe to share because each of them loads every weight before reading any.
+_SHELLS: dict[ModelConfig, tuple[nn.Module, int]] = {}
+
+
+def _shell(model_config: ModelConfig) -> tuple[nn.Module, int]:
+    """This process's classifier shell for ``model_config`` and its size."""
+    entry = _SHELLS.get(model_config)
+    if entry is None:
+        shell = build_classifier(model_config, np.random.default_rng(0))
+        entry = (shell, sum(p.size for p in shell.parameters()))
+        _SHELLS[model_config] = entry
+    return entry
 
 
 def train_classifier(
@@ -82,7 +106,10 @@ def train_classifier(
                     p.grad += proximal_mu * (p.data - anchor)
             opt.step()
             losses.append(loss)
-        last_epoch_loss = float(np.mean(losses)) if losses else float("nan")
+        # np.mean's bytes (one pairwise sum, one division) without its dispatch.
+        last_epoch_loss = (
+            float(np.add.reduce(losses) / len(losses)) if losses else float("nan")
+        )
     return last_epoch_loss
 
 
@@ -152,9 +179,11 @@ class FLClient:
             dataset = attack.apply(dataset, rng)
         self.dataset = dataset
 
-        # Shell model reused across rounds; weights are overwritten from the
-        # incoming global vector at each fit() call.
-        self._model = build_classifier(config.model, rng)
+        # Draw the P doubles initializing a classifier would, so the stream
+        # (and every history) matches a client that owns its model. Not
+        # ``bit_generator.advance(P)``: that also drops the uint32 a
+        # poisoning draw may have left buffered.
+        rng.random(_shell(config.model)[1])
         self._decoder_vector: np.ndarray | None = None
         self._decoder_version = 0
 
@@ -162,13 +191,14 @@ class FLClient:
     def state_dict(self) -> dict:
         """Everything that evolves after construction, for checkpoint/resume.
 
-        The static dataset, the model shell, and the attack object are
-        *not* included: construction replays them deterministically from
-        the federation seed (data-poisoning included), the shell's weights
-        are overwritten from the incoming broadcast every fit, and local
-        optimizers are rebuilt per fit. Only with an active stream does the
-        dataset diverge from its construction-time state, so it (and the
-        stream position) ship exactly then.
+        The static dataset and the attack object are *not* included:
+        construction replays them deterministically from the federation
+        seed (data-poisoning included). The classifier shell belongs to the
+        process, not the client, and every fit overwrites its weights from
+        the incoming broadcast; local optimizers are rebuilt per fit. Only
+        with an active stream does the dataset diverge from its
+        construction-time state, so it (and the stream position) ship
+        exactly then.
         """
         streaming = self.stream is not None
         return {
@@ -313,19 +343,21 @@ class FLClient:
         """
         cfg = self.config
         self.begin_fit(round_idx)
-        nn.vector_to_parameters(global_weights, self._model)
+        shell, _ = _shell(cfg.model)
+        nn.vector_to_parameters(global_weights, shell)
         train_loss = train_classifier(
-            self._model, self.dataset,
+            shell, self.dataset,
             epochs=cfg.local_epochs, lr=cfg.client_lr,
             batch_size=cfg.batch_size, rng=self.rng,
             momentum=cfg.client_momentum, optimizer=cfg.client_optimizer,
             proximal_mu=cfg.proximal_mu,
         )
-        weights = nn.parameters_to_vector(self._model)
+        weights = nn.parameters_to_vector(shell)  # a copy: the next fit reloads the shell
         return self.finish_fit(weights, global_weights, train_loss, include_decoder)
 
     def evaluate(self, weights: np.ndarray, dataset: Dataset | None = None) -> float:
         """Accuracy of the given classifier vector on a dataset (local by default)."""
         data = dataset if dataset is not None else self.dataset
-        nn.vector_to_parameters(weights, self._model)
-        return float(np.mean(self._model.predict(data.features) == data.labels))
+        shell, _ = _shell(self.config.model)
+        nn.vector_to_parameters(weights, shell)
+        return float(np.mean(shell.predict(data.features) == data.labels))

@@ -38,9 +38,11 @@ spawns, partition subsets, or stream objects up front:
 Bit-equality contract: materializing client ``cid`` replays
 ``FLClient.__init__`` exactly as a one-object-per-client construction
 would (RNG ``clients_rng.spawn(n)[cid]``, the same data-poisoning draws,
-the same shell-init draws), then overlays the packed mutable state
-captured at its last check-in — the same construct-then-``load_state_dict``
-sequence the checkpoint/resume path already proves bit-identical. The
+the same shell-init draws: the P doubles a classifier init takes, even
+though the process shares one classifier shell), then overlays the
+packed mutable state captured at its last check-in — the same
+construct-then-``load_state_dict`` sequence the checkpoint/resume path
+already proves bit-identical. The
 property suite in ``tests/property/test_population_properties.py``
 asserts this against that construction, built in the test, for every
 scheme.

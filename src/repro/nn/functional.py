@@ -179,9 +179,13 @@ def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
 @client_batched
 @array_contract(x={"min_ndim": 1, "dtype": "floating"})
 def log_softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Numerically stable log-softmax along ``axis``."""
-    shifted = x - np.max(x, axis=axis, keepdims=True)
-    return shifted - np.log(np.sum(np.exp(shifted), axis=axis, keepdims=True))
+    """Numerically stable log-softmax along ``axis``.
+
+    Reduces with the array methods, the same ``maximum``/``add`` reductions
+    as ``np.max``/``np.sum`` without their dispatch.
+    """
+    shifted = x - x.max(axis=axis, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
 
 
 @client_batched

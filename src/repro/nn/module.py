@@ -20,7 +20,7 @@ from typing import Iterator
 
 import numpy as np
 
-__all__ = ["Parameter", "Module"]
+__all__ = ["Parameter", "Module", "flat_run"]
 
 
 class Parameter:
@@ -29,26 +29,31 @@ class Parameter:
     Attributes
     ----------
     data:
-        The parameter values. An optimizer rebinds it, at construction, to
-        a view into the optimizer's flat value buffer and then updates it
-        in place (:mod:`repro.nn.optim`); hold ``param.data``, not an
-        array read from it before the optimizer was built.
+        The parameter values. The first optimizer built over it rebinds
+        it to a view into a flat value buffer, and every optimizer updates
+        it in place (:mod:`repro.nn.optim`); hold ``param.data``, not an
+        array read from it before the first optimizer was built.
     grad:
         Gradient accumulator with the same shape as ``data``. Zeroed by
         :meth:`Module.zero_grad` and filled during ``backward``; rebound
-        to a view into the optimizer's flat gradient buffer like
-        ``data``.
+        to a view into a flat gradient buffer like ``data``.
     name:
         Dotted path assigned when the parameter is registered in a module
         tree; useful for debugging and state dicts.
+    run:
+        ``None``, or where the optimizer that rebound ``data`` and ``grad``
+        placed them: ``(flat_data, flat_grad, offset, data, grad)``, the
+        last two being the views it installed. :func:`flat_run` trusts the
+        record only while the parameter still holds those views.
     """
 
-    __slots__ = ("data", "grad", "name")
+    __slots__ = ("data", "grad", "name", "run")
 
     def __init__(self, data: np.ndarray, name: str = "") -> None:
         self.data = np.ascontiguousarray(data, dtype=np.float64)
         self.grad = np.zeros_like(self.data)
         self.name = name
+        self.run = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -63,6 +68,34 @@ class Parameter:
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return f"Parameter(name={self.name!r}, shape={self.data.shape})"
+
+
+def flat_run(params: list[Parameter]) -> tuple[np.ndarray, np.ndarray] | None:
+    """The ``(data, grad)`` spans of one flat buffer pair that ``params`` tile.
+
+    ``params`` tile a span when each still holds the views an optimizer
+    installed (:attr:`Parameter.run`), all in one buffer pair, at
+    consecutive offsets in list order. Otherwise, as before any optimizer,
+    after a rebinding (``stack_parameters``, a pickled copy) or for a list
+    in another order, the result is ``None``.
+    """
+    first = params[0].run if params else None
+    if first is None:
+        return None
+    flat_data, flat_grad, start, _, _ = first
+    end = start
+    for p in params:
+        if p.run is None:
+            return None
+        run_data, _, offset, data, grad = p.run
+        if (
+            run_data is not flat_data or offset != end
+            or p.data is not data or p.grad is not grad
+            or data.base is not flat_data  # a copied model copies its views apart
+        ):
+            return None
+        end += data.size
+    return flat_data[start:end], flat_grad[start:end]
 
 
 class Module:

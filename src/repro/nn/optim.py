@@ -1,18 +1,23 @@
 """Optimizers operating in-place on :class:`repro.nn.module.Parameter` lists.
 
-An optimizer owns its parameters' storage: construction copies every
-parameter's ``data`` and ``grad`` into one contiguous float64 buffer each,
-in list order, and rebinds ``Parameter.data`` and ``.grad`` to views at
-their offsets. ``zero_grad`` is then one ``fill`` and each update rule a
-few whole-buffer in-place NumPy operations into preallocated temporaries.
-Every element sees the same IEEE operations in the same order as a
-per-parameter loop would apply, so how the buffer is split into parameters
-does not change a bit of the result.
+An optimizer steps its parameters' storage as one flat run: one
+contiguous float64 buffer of values and one of gradients, in list order.
+If the parameters already tile one span of such buffers, in order (the
+next fit of the same model, or a sub-model such as a CVAE's encoder), the
+optimizer adopts that span: no copy, no rebinding. Otherwise it copies
+every parameter's ``data`` and ``grad`` into new buffers and rebinds
+``Parameter.data`` and ``.grad`` to views at their offsets, recording
+each in ``Parameter.run``. ``zero_grad`` is then one ``fill`` and each
+update rule a few whole-buffer in-place NumPy operations into
+preallocated temporaries. Every element sees the same IEEE operations in
+the same order as a per-parameter loop would apply, so how the buffer is
+split into parameters does not change a bit of the result.
 
 The views stay valid for as long as nothing rebinds the parameters; code
 that installs new arrays (:func:`repro.nn.stack_parameters`) must do so
 before the optimizer is built. Parameter lists must not repeat a
-parameter, and optimizers sharing a model must hold disjoint lists (the
+parameter. Optimizers that adopt overlapping spans step the same memory;
+optimizers meant to train one model side by side hold disjoint lists (the
 GAN's generator and discriminator optimizers, for instance).
 """
 
@@ -20,13 +25,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .module import Parameter
+from .module import Parameter, flat_run
 
 __all__ = ["Optimizer", "SGD", "Adam"]
 
 
 class Optimizer:
-    """Base class: owns the flat ``data``/``grad`` buffers and ``zero_grad``."""
+    """Base class: holds the flat ``data``/``grad`` run and ``zero_grad``."""
 
     def __init__(self, params: list[Parameter]) -> None:
         if not params:
@@ -34,24 +39,34 @@ class Optimizer:
         self.params = list(params)
         if len({id(p) for p in self.params}) != len(self.params):
             raise ValueError("optimizer received the same parameter twice")
-        total = sum(p.data.size for p in self.params)
-        self._data = np.empty(total, dtype=np.float64)
-        self._grad = np.empty(total, dtype=np.float64)
-        offset = 0
-        for p in self.params:
-            end = offset + p.data.size
-            data = self._data[offset:end].reshape(p.data.shape)
-            grad = self._grad[offset:end].reshape(p.data.shape)
-            data[...] = p.data
-            grad[...] = p.grad  # a gradient accumulated before construction is kept
-            p.data, p.grad = data, grad
-            offset = end
+        run = flat_run(self.params)
+        if run is None:
+            run = _consolidate(self.params)
+        self._data, self._grad = run
 
     def zero_grad(self) -> None:
         self._grad.fill(0.0)
 
     def step(self) -> None:
         raise NotImplementedError
+
+
+def _consolidate(params: list[Parameter]) -> tuple[np.ndarray, np.ndarray]:
+    """Copy ``params`` into new flat buffers and rebind them to views there."""
+    total = sum(p.data.size for p in params)
+    flat_data = np.empty(total, dtype=np.float64)
+    flat_grad = np.empty(total, dtype=np.float64)
+    offset = 0
+    for p in params:
+        end = offset + p.data.size
+        data = flat_data[offset:end].reshape(p.data.shape)
+        grad = flat_grad[offset:end].reshape(p.data.shape)
+        data[...] = p.data
+        grad[...] = p.grad  # a gradient accumulated before construction is kept
+        p.data, p.grad = data, grad
+        p.run = (flat_data, flat_grad, offset, data, grad)
+        offset = end
+    return flat_data, flat_grad
 
 
 class SGD(Optimizer):

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .module import Module
+from .module import Module, flat_run
 
 __all__ = [
     "parameters_to_vector",
@@ -36,15 +36,22 @@ def parameters_to_vector(model: Module, out: np.ndarray | None = None) -> np.nda
     """Flatten all parameters of ``model`` into one contiguous float64 vector.
 
     An ``out`` buffer of the right size can be supplied to avoid
-    reallocation in hot loops (each federated round flattens every sampled
-    client's model).
+    reallocation in hot loops. Without one the result is always a new
+    array, never a view of the model's storage. When the parameters tile
+    an optimizer's flat run (:func:`~repro.nn.module.flat_run`) the copy
+    is one slice; otherwise it walks them parameter by parameter. Both
+    give the same bytes.
     """
     params = model.parameters()
-    total = sum(p.size for p in params)
+    run = flat_run(params)
+    total = run[0].size if run is not None else sum(p.size for p in params)
     if out is None:
         out = np.empty(total, dtype=np.float64)
     elif out.shape != (total,):
         raise ValueError(f"out buffer has shape {out.shape}, expected ({total},)")
+    if run is not None:
+        out[...] = run[0]
+        return out
     offset = 0
     for p in params:
         out[offset : offset + p.size] = p.data.ravel()
@@ -53,14 +60,22 @@ def parameters_to_vector(model: Module, out: np.ndarray | None = None) -> np.nda
 
 
 def vector_to_parameters(vector: np.ndarray, model: Module) -> None:
-    """Write a flat vector back into ``model``'s parameters (in-place)."""
+    """Write a flat vector back into ``model``'s parameters (in-place).
+
+    Never rebinds a parameter: on an optimizer's flat run this is one
+    slice copy, otherwise one copy per parameter.
+    """
     params = model.parameters()
-    total = sum(p.size for p in params)
+    run = flat_run(params)
+    total = run[0].size if run is not None else sum(p.size for p in params)
     vector = np.asarray(vector, dtype=np.float64).ravel()
     if vector.size != total:
         raise ValueError(
             f"vector has {vector.size} elements but model has {total} parameters"
         )
+    if run is not None:
+        run[0][...] = vector
+        return
     offset = 0
     for p in params:
         p.data[...] = vector[offset : offset + p.size].reshape(p.data.shape)

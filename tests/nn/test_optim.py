@@ -1,11 +1,14 @@
-"""Optimizer tests: exact update math, flat-buffer byte oracles, convergence."""
+"""Optimizer tests: exact update math, flat-buffer byte oracles, convergence,
+flat-run adoption and the vector copies on flat runs."""
+
+import copy
 
 import numpy as np
 import pytest
 
 from repro import nn
 from repro.models import scaled_cnn, scaled_cvae
-from repro.nn.module import Parameter
+from repro.nn.module import Parameter, flat_run
 
 
 def quadratic_params(rng):
@@ -309,3 +312,128 @@ class TestFlatBuffersMatchPerParameterRules:
         p = Parameter(np.zeros(3))
         with pytest.raises(ValueError, match="same parameter twice"):
             nn.SGD([p, p], lr=0.1)
+
+
+# ---------------------------------------------------------------------------
+# Flat runs: a later optimizer adopts the buffers an earlier one installed
+# ---------------------------------------------------------------------------
+
+
+def _views(params):
+    return [(p.data, p.grad) for p in params]
+
+
+def _assert_same_views(params, views):
+    for p, (data, grad) in zip(params, views):
+        assert p.data is data and p.grad is grad, p.name
+
+
+class TestFlatRunAdoption:
+    def test_second_optimizer_adopts_the_first_ones_buffers(self):
+        model = scaled_cnn(16, np.random.default_rng(0))
+        first = nn.SGD(model.parameters(), lr=0.1)
+        views = _views(model.parameters())
+        second = nn.Adam(model.parameters(), lr=0.1)
+        _assert_same_views(model.parameters(), views)
+        assert second._data.base is first._data
+        assert second._grad.base is first._grad
+        assert second._data.size == first._data.size
+
+    @pytest.mark.parametrize("part", ["encoder", "decoder"])
+    def test_sub_model_optimizer_adopts_its_slice(self, part):
+        cvae = scaled_cvae(rng=np.random.default_rng(0))
+        whole = nn.Adam(cvae.parameters())
+        sub = getattr(cvae, part)
+        views = _views(sub.parameters())
+        opt = nn.Adam(sub.parameters())
+        _assert_same_views(sub.parameters(), views)
+        start = 0 if part == "encoder" else cvae.encoder.count_parameters()
+        assert opt._data.base is whole._data
+        assert opt._data.size == sub.count_parameters()
+        assert opt._data.ctypes.data == whole._data[start:].ctypes.data
+        assert opt._grad.ctypes.data == whole._grad[start:].ctypes.data
+
+    def test_reordered_list_consolidates(self):
+        model = scaled_cnn(16, np.random.default_rng(0))
+        first = nn.SGD(model.parameters(), lr=0.1)
+        values = [p.data.copy() for p in model.parameters()]
+        reordered = list(reversed(model.parameters()))
+        second = nn.SGD(reordered, lr=0.1)
+        assert not np.shares_memory(second._data, first._data)
+        for p, before in zip(model.parameters(), values):
+            assert np.shares_memory(p.data, second._data)
+            assert p.data.tobytes() == before.tobytes()
+        assert flat_run(reordered) is not None
+        assert flat_run(model.parameters()) is None
+
+
+def _reference_to_vector(model):
+    """The per-parameter flattening the flat-run copy must reproduce."""
+    return np.concatenate([p.data.ravel() for p in model.parameters()])
+
+
+def _reference_from_vector(vector, model):
+    offset = 0
+    for p in model.parameters():
+        p.data[...] = vector[offset:offset + p.size].reshape(p.data.shape)
+        offset += p.size
+
+
+def _with_optimizer(model):
+    nn.SGD(model.parameters(), lr=0.1)
+    return model
+
+
+def _flat_cnn(seed):
+    return _with_optimizer(scaled_cnn(16, np.random.default_rng(seed)))
+
+
+def _restacked_flat_cnn(seed):
+    model = _flat_cnn(seed)
+    nn.stack_parameters(np.stack([nn.parameters_to_vector(model)] * STACK), model)
+    return model
+
+
+def _rebound_flat_cnn(seed):
+    model = _flat_cnn(seed)
+    first = model.parameters()[0]
+    first.data = first.data.copy()  # same shape and size, new storage
+    return model
+
+
+SERIALIZATION_CASES = {
+    "flat_run": (_flat_cnn, True),
+    "stacked": (lambda seed: _stacked_cnn_case(seed)[0], False),
+    "stacked_run": (lambda seed: _with_optimizer(_stacked_cnn_case(seed)[0]), True),
+    # Rebinding or copying a flat run's parameters leaves a stale record
+    # that must not be trusted.
+    "flat_run_restacked": (_restacked_flat_cnn, False),
+    "flat_run_rebound": (_rebound_flat_cnn, False),
+    "flat_run_deepcopied": (lambda seed: copy.deepcopy(_flat_cnn(seed)), False),
+}
+
+
+class TestVectorCopiesOnFlatRuns:
+    @pytest.mark.parametrize("case", sorted(SERIALIZATION_CASES))
+    def test_parameters_to_vector_matches_per_parameter_bytes(self, case):
+        make, is_run = SERIALIZATION_CASES[case]
+        model = make(7)
+        assert (flat_run(model.parameters()) is not None) == is_run
+        vector = nn.parameters_to_vector(model)
+        assert vector.tobytes() == _reference_to_vector(model).tobytes()
+        for p in model.parameters():
+            assert not np.shares_memory(vector, p.data)
+
+    @pytest.mark.parametrize("case", sorted(SERIALIZATION_CASES))
+    def test_vector_to_parameters_matches_per_parameter_bytes(self, case):
+        make, _ = SERIALIZATION_CASES[case]
+        model, reference = make(7), make(7)
+        views = _views(model.parameters())
+        vector = np.random.default_rng(3).standard_normal(
+            sum(p.size for p in model.parameters())
+        )
+        nn.vector_to_parameters(vector, model)
+        _reference_from_vector(vector, reference)
+        _assert_same_views(model.parameters(), views)
+        for p, ref in zip(model.parameters(), reference.parameters()):
+            assert p.data.tobytes() == ref.data.tobytes(), p.name
