@@ -23,7 +23,7 @@ from repro.config import FederationConfig
 from repro.defenses import FedGuard
 from repro.defenses.geomed import geometric_median
 from repro.fl import run_federation
-from repro.fl.strategy import AggregationResult, weighted_average
+from repro.fl.strategy import AggregationResult, predict_each, weighted_average
 
 
 class MajorityVoteGuard(FedGuard):
@@ -38,13 +38,8 @@ class MajorityVoteGuard(FedGuard):
 
     def aggregate(self, round_idx, updates, global_weights, context):
         synth_x, synth_y = self.synthesize(updates, context)
-        classifier = context.make_classifier()
-        from repro import nn
-
-        scores = np.empty(len(updates))
-        for i, update in enumerate(updates):
-            nn.vector_to_parameters(update.weights, classifier)
-            scores[i] = np.mean(classifier.predict(synth_x) == synth_y)
+        # One stacked predict scores every update: a (K, N) prediction matrix.
+        scores = (predict_each(updates, synth_x, context) == synth_y).mean(axis=1)
 
         keep_n = max(len(updates) // 2, 1)
         order = set(np.argsort(scores)[::-1][:keep_n].tolist())

@@ -7,38 +7,43 @@ the model converges. The FedGuard paper could not find an open
 implementation; this module reconstructs the approach:
 
 1. **Pre-training.** Using an auxiliary dataset, the server simulates
-   benign federated rounds (as Spectral does) but tags every collected
-   update surrogate with its *round bucket*. A CVAE learns
-   p(surrogate | bucket).
+   benign federated rounds exactly as Spectral does — the same
+   :class:`~repro.defenses.spectral._SurrogateBaseline` builds the
+   surrogates (last-layer delta + random projection) and their
+   standardization — and tags every surrogate with its *round bucket*. A
+   CVAE learns p(surrogate | bucket).
 2. **Detection.** At federated time, each incoming update's surrogate is
    scored by the CVAE conditioned on the current round's bucket (clamped
    to the last pre-trained bucket once past it); updates whose error
    exceeds the round mean are excluded.
-
-Shares the surrogate construction (last-layer delta + random projection)
-with :class:`repro.defenses.spectral.Spectral`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .. import nn
 from ..analysis.contracts import aggregate_contract
-from ..fl.client import train_classifier
-from ..fl.strategy import AggregationResult, ServerContext, Strategy, weighted_average
+from ..data.dataset import Dataset
+from ..fl.client import train_cvae
+from ..fl.strategy import (
+    AggregationResult,
+    ServerContext,
+    Strategy,
+    keep_at_mean,
+    weighted_average,
+)
 from ..fl.updates import ClientUpdate
 from ..models.cvae import CVAE
 from ..nn import functional as F
+from .spectral import _SurrogateBaseline
 
 __all__ = ["FedCVAE"]
 
 
-class FedCVAE(Strategy):
+class FedCVAE(_SurrogateBaseline, Strategy):
     """Round-conditioned CVAE anomaly detection over update surrogates."""
 
     name = "fedcvae"
-    needs_auxiliary = True
 
     def __init__(
         self,
@@ -50,69 +55,23 @@ class FedCVAE(Strategy):
         pretrain_lr: float = 0.05,
         seed: int = 13,
     ) -> None:
-        self.surrogate_dim = surrogate_dim
-        self.pretrain_rounds = pretrain_rounds
-        self.pseudo_clients = pseudo_clients
+        super().__init__(
+            surrogate_dim, pretrain_rounds, pseudo_clients, pretrain_epochs,
+            pretrain_lr, seed,
+        )
         self.cvae_epochs = cvae_epochs
-        self.pretrain_epochs = pretrain_epochs
-        self.pretrain_lr = pretrain_lr
-        self.seed = seed
-
         self._cvae: CVAE | None = None
-        self._projection: np.ndarray | None = None
-        self._tail_size: int | None = None
-        self._mu: np.ndarray | None = None
-        self._sigma: np.ndarray | None = None
-
-    def _surrogate(self, delta: np.ndarray) -> np.ndarray:
-        tail = delta[-self._tail_size :]
-        if self._projection is not None:
-            tail = self._projection @ tail
-        return tail
 
     def _bucket(self, round_idx: int) -> int:
         """Clamp the federated round onto the pre-trained bucket range."""
         return int(min(max(round_idx - 1, 0), self.pretrain_rounds - 1))
 
     def setup(self, context: ServerContext) -> None:
-        if context.auxiliary_dataset is None:
-            raise RuntimeError("FedCVAE requires an auxiliary dataset")
-        aux = context.auxiliary_dataset
         rng = np.random.default_rng(self.seed)
-
-        model = context.make_classifier()
-        shapes = nn.parameter_shapes(model)
-        self._tail_size = int(np.prod(shapes[-2]) + np.prod(shapes[-1]))
-        if self.surrogate_dim < self._tail_size:
-            self._projection = rng.standard_normal(
-                (self.surrogate_dim, self._tail_size)
-            ) / np.sqrt(self._tail_size)
-
-        base = nn.parameters_to_vector(model)
-        surrogates, buckets = [], []
-        for round_bucket in range(self.pretrain_rounds):
-            round_vectors = []
-            for _ in range(self.pseudo_clients):
-                take = max(len(aux) // 2, 8)
-                shard = aux.subset(rng.choice(len(aux), size=take, replace=True))
-                nn.vector_to_parameters(base, model)
-                train_classifier(
-                    model, shard, epochs=self.pretrain_epochs,
-                    lr=self.pretrain_lr, batch_size=32, rng=rng, momentum=0.9,
-                )
-                vec = nn.parameters_to_vector(model)
-                round_vectors.append(vec)
-                surrogates.append(self._surrogate(vec - base))
-                buckets.append(round_bucket)
-            base = np.mean(round_vectors, axis=0)
-
-        surrogates = np.stack(surrogates)
-        buckets = np.array(buckets, dtype=np.int64)
-        self._mu = surrogates.mean(axis=0)
-        self._sigma = np.maximum(surrogates.std(axis=0), 1e-8)
+        standardized, buckets = self._pretrain(context, rng)
         # Map standardized surrogates into [0, 1] through a (numerically
         # stable) logistic squash so the CVAE's Bernoulli likelihood applies.
-        squashed = F.sigmoid((surrogates - self._mu) / self._sigma)
+        squashed = F.sigmoid(standardized)
 
         self._cvae = CVAE(
             input_dim=squashed.shape[1],
@@ -122,23 +81,15 @@ class FedCVAE(Strategy):
             reconstruct_label=False,
             rng=rng,
         )
-        optimizer = nn.Adam(self._cvae.parameters(), lr=1e-3)
-        loss_fn = nn.CVAELoss()
-        for _ in range(self.cvae_epochs):
-            order = rng.permutation(len(squashed))
-            for start in range(0, len(squashed), 32):
-                idx = order[start : start + 32]
-                x, y = squashed[idx], buckets[idx]
-                target = self._cvae.reconstruction_target(x, y)
-                recon, mu, logvar = self._cvae.forward(x, y, rng)
-                loss_fn(recon, target, mu, logvar)
-                optimizer.zero_grad()
-                self._cvae.backward(*loss_fn.backward())
-                optimizer.step()
+        # The clients' CVAE trainer, with the round buckets as labels.
+        train_cvae(
+            self._cvae, Dataset(squashed, buckets, num_classes=self.pretrain_rounds),
+            epochs=self.cvae_epochs, lr=1e-3, batch_size=32, rng=rng,
+        )
 
-    def _errors(self, surrogates: np.ndarray, bucket: int) -> np.ndarray:
+    def _errors(self, standardized: np.ndarray, bucket: int) -> np.ndarray:
         """Deterministic conditional reconstruction error per row."""
-        squashed = F.sigmoid((surrogates - self._mu) / self._sigma)
+        squashed = F.sigmoid(standardized)
         labels = np.full(squashed.shape[0], bucket, dtype=np.int64)
         y = F.one_hot(labels, self._cvae.num_classes)
         mu, _ = self._cvae.encoder(squashed, y)
@@ -155,15 +106,9 @@ class FedCVAE(Strategy):
     ) -> AggregationResult:
         if self._cvae is None:
             raise RuntimeError("FedCVAE.setup() was not called before aggregation")
-        surrogates = np.stack(
-            [self._surrogate(u.weights - global_weights) for u in updates]
-        )
-        errors = self._errors(surrogates, self._bucket(round_idx))
-        keep = errors <= errors.mean()
-        if not keep.any():
-            keep[:] = True
-        accepted = [u for u, k in zip(updates, keep) if k]
-        rejected = [u.client_id for u, k in zip(updates, keep) if not k]
+        errors = self._errors(self._surrogates(updates, global_weights), self._bucket(round_idx))
+        # Lower error is more benign-like: keep errors <= their mean.
+        accepted, rejected = keep_at_mean(updates, -errors)
         return AggregationResult(
             weights=weighted_average(accepted),
             accepted_ids=[u.client_id for u in accepted],

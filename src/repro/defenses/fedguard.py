@@ -10,9 +10,11 @@ Per federated round the server:
    ``D_syn`` (line 4) — the union over decoders, so each client
    contributes ``t`` candidate samples;
 3. evaluates each submitted classifier ψ_j on ``D_syn`` with the accuracy
-   metric (line 5);
+   metric (line 5, :func:`~repro.fl.strategy.predict_each`);
 4. keeps exactly the updates scoring at or above the mean accuracy
-   (line 6) and FedAvg's them (line 7).
+   (line 6) and FedAvg's them (line 7) — the
+   :func:`~repro.fl.strategy.keep_at_mean` rule every filtering defense
+   here shares.
 
 Design knobs beyond the paper's defaults, all called out in its
 "tuneable system" discussion:
@@ -47,7 +49,14 @@ import numpy as np
 
 from .. import nn
 from ..analysis.contracts import aggregate_contract
-from ..fl.strategy import AggregationResult, ServerContext, Strategy, weighted_average
+from ..fl.strategy import (
+    AggregationResult,
+    ServerContext,
+    Strategy,
+    keep_at_mean,
+    predict_each,
+    weighted_average,
+)
 from ..fl.updates import ClientUpdate
 
 __all__ = ["FedGuard"]
@@ -116,7 +125,9 @@ class FedGuard(Strategy):
         self.class_aware = class_aware
 
     # -- Alg. 1 lines 2-3: the validation seed -------------------------------
-    def _draw_seed(self, context: ServerContext) -> tuple[np.ndarray, np.ndarray]:
+    def _draw_seed(
+        self, context: ServerContext, latent_dim: int
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Draw the shared latents ``[z_t]`` and conditioning labels ``[y_t]``."""
         rng = context.rng
         t = (
@@ -141,7 +152,7 @@ class FedGuard(Strategy):
             rng.shuffle(labels)
         else:
             labels = rng.choice(context.num_classes, size=t, p=context.class_probs)
-        z = rng.standard_normal((t, context.make_decoder().latent_dim))
+        z = rng.standard_normal((t, latent_dim))
         return z, labels
 
     def _decoder_labels(
@@ -173,7 +184,8 @@ class FedGuard(Strategy):
         decoder's own 2-D ``generate(labels, rng, z=z)``.
         """
         rng = context.rng
-        z, labels = self._draw_seed(context)
+        decoder = context.make_decoder()
+        z, labels = self._draw_seed(context, decoder.latent_dim)
         sources = [u for u in updates if u.decoder_weights is not None]
         if not sources:
             raise RuntimeError(
@@ -184,7 +196,6 @@ class FedGuard(Strategy):
             chosen = rng.choice(len(sources), size=self.decoder_subset, replace=False)
             sources = [sources[i] for i in chosen]
 
-        decoder = context.make_decoder()
         per_decoder = np.stack([self._decoder_labels(u, labels, rng) for u in sources])
         nn.stack_parameters(np.stack([u.decoder_weights for u in sources]), decoder)
         # Every decoder gets the identical z (and, unless remapped, the
@@ -194,11 +205,7 @@ class FedGuard(Strategy):
             np.broadcast_to(z, (len(sources),) + z.shape),
             nn.functional.one_hot(per_decoder, decoder.num_classes),
         )
-        image_dim = (
-            decoder.out_dim - decoder.num_classes
-            if decoder.out_dim > decoder.num_classes
-            else decoder.out_dim
-        )
+        image_dim = decoder.image_dim
         return out[..., :image_dim].reshape(-1, image_dim), per_decoder.reshape(-1)
 
     # -- Alg. 1 lines 5-7: score and select ------------------------------------
@@ -212,28 +219,13 @@ class FedGuard(Strategy):
     ) -> AggregationResult:
         audit_t0 = time.perf_counter()
         synth_x, synth_y = self.synthesize(updates, context)
-        # One C-contiguous validation batch shared by one stacked
-        # classifier: a single predict scores ALL submissions (in
-        # memory-bounded sample blocks), never a per-update Python loop.
-        synth_x = np.ascontiguousarray(synth_x)
-        assert synth_x.flags["C_CONTIGUOUS"]
         assert synth_x.shape[0] == synth_y.size
-
-        classifier = context.make_classifier()
-        nn.stack_parameters(np.stack([u.weights for u in updates]), classifier)
-        preds = classifier.predict(synth_x)
-        assert preds.shape == (len(updates), synth_y.size)  # one row per update
+        preds = predict_each(updates, synth_x, context)
         # Row-contiguous mean: each row equals that update's scalar
         # np.mean(preds_i == synth_y).
         accuracies = (preds == synth_y[None, :]).mean(axis=1)
         audit_time_s = time.perf_counter() - audit_t0
-
-        mean_acc = accuracies.mean()
-        keep = accuracies >= mean_acc
-        if not keep.any():  # all-equal degenerate case
-            keep[:] = True
-        accepted = [u for u, k in zip(updates, keep) if k]
-        rejected = [u.client_id for u, k in zip(updates, keep) if not k]
+        accepted, rejected = keep_at_mean(updates, accuracies)
 
         return AggregationResult(
             weights=self.inner_aggregator(accepted),
@@ -241,7 +233,7 @@ class FedGuard(Strategy):
             rejected_ids=rejected,
             metrics={
                 "synthetic_samples": int(synth_y.size),
-                "audit_acc_mean": float(mean_acc),
+                "audit_acc_mean": float(accuracies.mean()),
                 "audit_acc_min": float(accuracies.min()),
                 "audit_acc_max": float(accuracies.max()),
                 "audit_time_s": audit_time_s,

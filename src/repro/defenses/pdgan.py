@@ -17,16 +17,23 @@ published description so the comparison can actually be run:
    round's submitted classifiers (the class of generated data is unknown
    — PDGAN's structural deficiency vs the CVAE's controllable synthesis),
    scores each client's agreement with the majority, and drops clients
-   below ``accuracy_threshold`` × the mean agreement.
+   below the mean agreement — FedGuard's selection rule, for
+   comparability.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .. import nn
 from ..analysis.contracts import aggregate_contract
-from ..fl.strategy import AggregationResult, ServerContext, Strategy, weighted_average
+from ..fl.strategy import (
+    AggregationResult,
+    ServerContext,
+    Strategy,
+    keep_at_mean,
+    predict_each,
+    weighted_average,
+)
 from ..fl.updates import ClientUpdate
 from ..models.gan import GAN
 
@@ -43,10 +50,6 @@ class PDGAN(Strategy):
         400–600, scaled to the simulation's round counts).
     samples:
         Generated samples per audit round.
-    accuracy_threshold:
-        Keep clients whose agreement with the majority labels is at least
-        this fraction of the round's mean agreement (1.0 = mean threshold,
-        matching FedGuard's selection rule for comparability).
     gan_epochs / latent_dim / hidden:
         Server-side GAN training budget and architecture.
     """
@@ -58,7 +61,6 @@ class PDGAN(Strategy):
         self,
         init_rounds: int = 3,
         samples: int = 100,
-        accuracy_threshold: float = 1.0,
         gan_epochs: int = 150,
         latent_dim: int = 16,
         hidden: int = 128,
@@ -70,7 +72,6 @@ class PDGAN(Strategy):
             raise ValueError(f"samples must be positive, got {samples}")
         self.init_rounds = init_rounds
         self.samples = samples
-        self.accuracy_threshold = accuracy_threshold
         self.gan_epochs = gan_epochs
         self.latent_dim = latent_dim
         self.hidden = hidden
@@ -114,25 +115,15 @@ class PDGAN(Strategy):
         synth = self._gan.generate(self.samples, context.rng)
 
         # Majority-vote labels: the generator cannot tell the server what
-        # class it drew, so the round's classifiers vote — one stacked
-        # predict over all submissions, not a per-update loop.
-        classifier = context.make_classifier()
-        nn.stack_parameters(np.stack([u.weights for u in updates]), classifier)
-        all_preds = classifier.predict(np.ascontiguousarray(synth))
-        assert all_preds.shape == (len(updates), self.samples)
+        # class it drew, so the round's classifiers vote.
+        all_preds = predict_each(updates, synth, context)
         votes = np.apply_along_axis(
             lambda col: np.bincount(col, minlength=context.num_classes).argmax(),
             0,
             all_preds,
         )
         agreement = (all_preds == votes[None, :]).mean(axis=1)
-
-        cutoff = self.accuracy_threshold * agreement.mean()
-        keep = agreement >= cutoff
-        if not keep.any():
-            keep[:] = True
-        accepted = [u for u, k in zip(updates, keep) if k]
-        rejected = [u.client_id for u, k in zip(updates, keep) if not k]
+        accepted, rejected = keep_at_mean(updates, agreement)
         return AggregationResult(
             weights=weighted_average(accepted),
             accepted_ids=[u.client_id for u in accepted],

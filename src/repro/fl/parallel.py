@@ -92,15 +92,10 @@ class IPCStats:
 
     bytes_sent: int = 0      # main → workers
     bytes_received: int = 0  # workers → main
-    rounds: int = 0          # fit batches executed
 
     @property
     def total_nbytes(self) -> int:
         return self.bytes_sent + self.bytes_received
-
-    def per_round_nbytes(self) -> float:
-        """Mean pickled bytes per executed round (0 if none ran)."""
-        return self.total_nbytes / self.rounds if self.rounds else 0.0
 
 
 class ExecutionBackend:
@@ -170,11 +165,7 @@ class SequentialBackend(ExecutionBackend):
         self.engine: TrainingEngine = make_engine(engine)
 
     def fit_clients(self, clients, global_weights, include_decoder, round_idx=0):
-        updates, times = self.engine.fit_clients(
-            clients, global_weights, include_decoder, round_idx
-        )
-        self.ipc_stats.rounds += 1
-        return updates, times
+        return self.engine.fit_clients(clients, global_weights, include_decoder, round_idx)
 
 
 # ---------------------------------------------------------------------------
@@ -512,7 +503,6 @@ class ProcessPoolBackend(ExecutionBackend):
             update, state, elapsed = packed_by_id[client.client_id]
             updates.append(self._unpack_update(client, update, state, include_decoder))
             times.append(elapsed)
-        self.ipc_stats.rounds += 1
         return updates, times
 
     @staticmethod

@@ -17,10 +17,18 @@ from typing import Callable
 
 import numpy as np
 
+from .. import nn
 from ..data.dataset import Dataset
 from .updates import ClientUpdate
 
-__all__ = ["ServerContext", "AggregationResult", "Strategy", "weighted_average"]
+__all__ = [
+    "ServerContext",
+    "AggregationResult",
+    "Strategy",
+    "weighted_average",
+    "keep_at_mean",
+    "predict_each",
+]
 
 
 @dataclass
@@ -107,3 +115,42 @@ def weighted_average(updates: list[ClientUpdate]) -> np.ndarray:
     weights = np.array([u.num_samples for u in updates], dtype=np.float64)
     weights /= weights.sum()
     return weights @ matrix
+
+
+def keep_at_mean(
+    updates: list[ClientUpdate], scores: np.ndarray
+) -> tuple[list[ClientUpdate], list[int]]:
+    """Keep the updates scoring at or above the round mean (Alg. 1 line 7).
+
+    Higher is better: a defense that scores by error passes the negated
+    errors, which keeps exactly the updates with ``error <= error.mean()``
+    (negation is exact, so ``(-e).mean()`` is bitwise ``-(e.mean())``).
+    When no score reaches the mean — an all-equal round whose mean rounds
+    above every score, or a NaN score — every update is kept.
+
+    Returns the accepted updates and the rejected client ids, both in
+    submission order.
+    """
+    keep = scores >= scores.mean()
+    if not keep.any():
+        keep[:] = True
+    accepted = [u for u, k in zip(updates, keep) if k]
+    rejected = [u.client_id for u, k in zip(updates, keep) if not k]
+    return accepted, rejected
+
+
+def predict_each(
+    updates: list[ClientUpdate], x: np.ndarray, context: ServerContext
+) -> np.ndarray:
+    """Every submitted classifier's predictions on one shared batch, ``(K, N)``.
+
+    The round's ψ_j are stacked into one client-batched shell
+    (:func:`repro.nn.stack_parameters`) and scored by a single ``predict``,
+    which walks ``x`` in memory-bounded sample blocks — one row per update,
+    never a per-update loop.
+    """
+    classifier = context.make_classifier()
+    nn.stack_parameters(np.stack([u.weights for u in updates]), classifier)
+    preds = classifier.predict(np.ascontiguousarray(x))
+    assert preds.shape == (len(updates), len(x))
+    return preds

@@ -212,6 +212,14 @@ class CVAEDecoder(nn.Module):
         self.fc2 = nn.Linear(hidden, out_dim, rng=rng)
         self.sigmoid = nn.Sigmoid()
 
+    @property
+    def image_dim(self) -> int:
+        """Width of the image part of the output: the label slots dropped
+        when the decoder also reconstructs the label."""
+        if self.out_dim > self.num_classes:
+            return self.out_dim - self.num_classes
+        return self.out_dim
+
     def forward(self, z: np.ndarray, y_onehot: np.ndarray) -> np.ndarray:
         # axis=-1 so the same code serves (N, ·) inputs and client-batched
         # (K, N, ·) stacks (the server's batched multi-decoder synthesis).
@@ -233,8 +241,7 @@ class CVAEDecoder(nn.Module):
     ) -> np.ndarray:
         """Decode prior samples conditioned on ``labels`` into images.
 
-        The image part (first ``out_dim - num_classes`` dims when the
-        decoder also reconstructs the label) is returned.
+        Returns the first :attr:`image_dim` dims of the output.
         """
         labels = np.asarray(labels)
         if z is None:
@@ -244,9 +251,7 @@ class CVAEDecoder(nn.Module):
                 f"z has shape {z.shape}, expected ({labels.shape[0]}, {self.latent_dim})"
             )
         y = F.one_hot(labels, self.num_classes)
-        out = self.forward(z, y)
-        image_dim = self.out_dim - self.num_classes if self.out_dim > self.num_classes else self.out_dim
-        return out[:, :image_dim]
+        return self.forward(z, y)[:, : self.image_dim]
 
 
 def mnist_cvae(rng: np.random.Generator | None = None) -> CVAE:

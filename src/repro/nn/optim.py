@@ -70,9 +70,9 @@ def _consolidate(params: list[Parameter]) -> tuple[np.ndarray, np.ndarray]:
 
 
 class SGD(Optimizer):
-    """Stochastic gradient descent with optional momentum and weight decay.
+    """Stochastic gradient descent with optional momentum.
 
-    The paper's clients train with plain SGD; momentum/decay are exposed for
+    The paper's clients train with plain SGD; momentum is exposed for
     ablations.
     """
 
@@ -81,7 +81,6 @@ class SGD(Optimizer):
         params: list[Parameter],
         lr: float,
         momentum: float = 0.0,
-        weight_decay: float = 0.0,
     ) -> None:
         super().__init__(params)
         if lr <= 0:
@@ -90,14 +89,11 @@ class SGD(Optimizer):
             raise ValueError(f"momentum must be in [0, 1), got {momentum}")
         self.lr = lr
         self.momentum = momentum
-        self.weight_decay = weight_decay
         self._velocity = np.zeros_like(self._data) if momentum > 0 else None
         self._tmp = np.empty_like(self._data)
 
     def step(self) -> None:
         grad = self._grad
-        if self.weight_decay > 0.0:
-            grad = grad + self.weight_decay * self._data
         v = self._velocity
         if v is not None:
             v *= self.momentum
@@ -116,7 +112,6 @@ class Adam(Optimizer):
         lr: float = 1e-3,
         betas: tuple[float, float] = (0.9, 0.999),
         eps: float = 1e-8,
-        weight_decay: float = 0.0,
     ) -> None:
         super().__init__(params)
         if lr <= 0:
@@ -127,7 +122,6 @@ class Adam(Optimizer):
         self.lr = lr
         self.beta1, self.beta2 = b1, b2
         self.eps = eps
-        self.weight_decay = weight_decay
         self._m = np.zeros_like(self._data)
         self._v = np.zeros_like(self._data)
         self._tmp = np.empty_like(self._data)
@@ -140,8 +134,6 @@ class Adam(Optimizer):
         bias_c2 = 1.0 - self.beta2**self._t
         m, v, tmp, denom = self._m, self._v, self._tmp, self._denom
         grad = self._grad
-        if self.weight_decay > 0.0:
-            grad = grad + self.weight_decay * self._data
         m *= self.beta1
         m += np.multiply(1.0 - self.beta1, grad, out=tmp)
         v *= self.beta2

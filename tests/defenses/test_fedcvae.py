@@ -6,7 +6,7 @@ import pytest
 from repro import nn
 from repro.config import ModelConfig
 from repro.data import SynthMnistConfig, generate_dataset
-from repro.defenses import FedCVAE
+from repro.defenses import FedCVAE, Spectral
 from repro.fl import ClientUpdate
 from repro.fl.strategy import ServerContext
 from repro.models import build_classifier, build_decoder
@@ -89,3 +89,22 @@ class TestFiltering:
         strategy, _, base = fedcvae_env
         s = np.stack([strategy._surrogate(np.ones(base.size))])
         np.testing.assert_array_equal(strategy._errors(s, 0), strategy._errors(s, 0))
+
+
+class TestSharedBaseline:
+    def test_same_benign_baseline_as_spectral(self, fedcvae_env):
+        # Equal pre-training arguments simulate the same benign rounds on
+        # the same auxiliary set, so the surrogate baselines are equal bit
+        # for bit; only the detector trained on them differs.
+        _, context, _ = fedcvae_env
+        pretrain = dict(surrogate_dim=8, pretrain_rounds=2, pseudo_clients=2,
+                        pretrain_epochs=1, pretrain_lr=0.05, seed=5)
+        spectral = Spectral(vae_epochs=1, **pretrain)
+        fedcvae = FedCVAE(cvae_epochs=1, **pretrain)
+        spectral.setup(context)
+        fedcvae.setup(context)
+        assert fedcvae._tail_size == spectral._tail_size
+        for attr in ("_projection", "_mu", "_sigma"):
+            ours, theirs = getattr(fedcvae, attr), getattr(spectral, attr)
+            assert ours is not None, attr
+            assert ours.tobytes() == theirs.tobytes(), attr

@@ -1,11 +1,13 @@
 """Fault injection + round-level recovery: plans, retries, quorum, resume."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 
 from repro.attacks import AttackScenario, no_attack
 from repro.config import FederationConfig
-from repro.defenses import FedAvg, FedGuard
+from repro.defenses import PDGAN, FedAvg, FedCVAE, FedGuard, Spectral
 from repro.experiments.storage import load_checkpoint, save_checkpoint
 from repro.fl import (
     FaultPlan,
@@ -383,8 +385,20 @@ def _comparable(history):
     ]
 
 
+# The pre-training defenses at test size (as in test_registry_coverage.py);
+# each pickles its trained detector into the checkpoint.
+_PRETRAINED = [
+    pytest.param(partial(PDGAN, init_rounds=0, samples=10, gan_epochs=3, hidden=16,
+                         latent_dim=3), id="PDGAN"),
+    pytest.param(partial(Spectral, surrogate_dim=8, pretrain_rounds=1, pseudo_clients=2,
+                         vae_epochs=3, pretrain_epochs=1), id="Spectral"),
+    pytest.param(partial(FedCVAE, surrogate_dim=8, pretrain_rounds=2, pseudo_clients=2,
+                         cvae_epochs=3, pretrain_epochs=1), id="FedCVAE"),
+]
+
+
 class TestCheckpointResume:
-    @pytest.mark.parametrize("strategy_factory", [FedAvg, FedGuard])
+    @pytest.mark.parametrize("strategy_factory", [FedAvg, FedGuard, *_PRETRAINED])
     def test_resume_bit_identical_sequential(self, strategy_factory, tmp_path):
         config = FederationConfig.tiny(rounds=4)
         scenario = AttackScenario.label_flipping(0.3)

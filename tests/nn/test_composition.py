@@ -111,15 +111,3 @@ class TestMixedPrecisionOfGradients:
         for p in (model.parameters()[0], model.parameters()[-2]):
             numeric = numeric_gradient(loss, p.data, [0])
             assert p.grad.ravel()[0] == pytest.approx(numeric[0], abs=1e-6)
-
-
-class TestAdamWeightDecay:
-    def test_decay_pulls_toward_zero(self):
-        from repro.nn.module import Parameter
-
-        p = Parameter(np.array([5.0]))
-        opt = nn.Adam([p], lr=0.1, weight_decay=1.0)
-        for _ in range(200):
-            p.zero_grad()  # zero task gradient: only decay acts
-            opt.step()
-        assert abs(p.data[0]) < 1.0

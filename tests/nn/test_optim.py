@@ -33,12 +33,6 @@ class TestSGD:
         opt.step()  # v=1.5, p=-2.5
         np.testing.assert_allclose(p.data, [-2.5])
 
-    def test_weight_decay(self):
-        p = Parameter(np.array([2.0]))
-        p.grad[...] = 0.0
-        nn.SGD([p], lr=0.1, weight_decay=0.5).step()
-        np.testing.assert_allclose(p.data, [2.0 - 0.1 * 0.5 * 2.0])
-
     def test_validation(self):
         p = Parameter(np.zeros(1))
         with pytest.raises(ValueError):
@@ -132,11 +126,10 @@ class TestOptimizerTrainsRealModel:
 class ReferenceSGD:
     """The per-parameter SGD loop the flat-buffer SGD replaced."""
 
-    def __init__(self, params, lr, momentum=0.0, weight_decay=0.0):
+    def __init__(self, params, lr, momentum=0.0):
         self.params = list(params)
         self.lr = lr
         self.momentum = momentum
-        self.weight_decay = weight_decay
         self._velocity = (
             [np.zeros_like(p.data) for p in self.params] if momentum > 0 else None
         )
@@ -148,8 +141,6 @@ class ReferenceSGD:
     def step(self):
         for idx, p in enumerate(self.params):
             grad = p.grad
-            if self.weight_decay > 0.0:
-                grad = grad + self.weight_decay * p.data
             if self._velocity is not None:
                 v = self._velocity[idx]
                 v *= self.momentum
@@ -162,12 +153,11 @@ class ReferenceSGD:
 class ReferenceAdam:
     """The per-parameter Adam loop the flat-buffer Adam replaced."""
 
-    def __init__(self, params, lr=1e-3, betas=(0.9, 0.999), eps=1e-8, weight_decay=0.0):
+    def __init__(self, params, lr=1e-3, betas=(0.9, 0.999), eps=1e-8):
         self.params = list(params)
         self.lr = lr
         self.beta1, self.beta2 = betas
         self.eps = eps
-        self.weight_decay = weight_decay
         self._m = [np.zeros_like(p.data) for p in self.params]
         self._v = [np.zeros_like(p.data) for p in self.params]
         self._t = 0
@@ -182,8 +172,6 @@ class ReferenceAdam:
         bias_c2 = 1.0 - self.beta2**self._t
         for idx, p in enumerate(self.params):
             grad = p.grad
-            if self.weight_decay > 0.0:
-                grad = grad + self.weight_decay * p.data
             m, v = self._m[idx], self._v[idx]
             m *= self.beta1
             m += (1.0 - self.beta1) * grad
@@ -197,9 +185,7 @@ class ReferenceAdam:
 OPTIMIZERS = {
     "sgd": (nn.SGD, ReferenceSGD, dict(lr=0.05)),
     "sgd_momentum": (nn.SGD, ReferenceSGD, dict(lr=0.05, momentum=0.9)),
-    "sgd_weight_decay": (nn.SGD, ReferenceSGD, dict(lr=0.05, weight_decay=0.01)),
     "adam": (nn.Adam, ReferenceAdam, dict(lr=1e-3)),
-    "adam_weight_decay": (nn.Adam, ReferenceAdam, dict(lr=1e-3, weight_decay=0.01)),
 }
 STEPS = 25
 BATCH = 8
