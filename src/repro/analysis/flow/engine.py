@@ -49,6 +49,7 @@ from .dataflow import (
     FunctionAnalysis,
     IterFact,
     Value,
+    find_loop_spans,
     module_env,
 )
 from .concurrency import CONCURRENCY_RULES, analyze_concurrency_project
@@ -252,9 +253,11 @@ def _analyze_flow_domain(
                             init_of[id(node)] = rec
 
     return_summaries: dict[str, Value] = {}
+    # RG102's loop spans depend only on the AST: one walk per body.
+    spans_by_record = [find_loop_spans(record.func) for record in records]
     for _round in range(MAX_ROUNDS):
         all_calls: list[CallFact] = []
-        for record in records:
+        for record, spans in zip(records, spans_by_record):
             analysis = FunctionAnalysis(
                 project,
                 record.module,
@@ -263,6 +266,7 @@ def _analyze_flow_domain(
                 param_values=record.summary,
                 globals_env=globals_by_module.get(record.module.name, {}),
                 return_summaries=return_summaries,
+                loop_spans=spans,
             )
             record.result = analysis.run()
             all_calls.extend(record.result.calls)

@@ -428,16 +428,26 @@ def _check_rg003(tree: ast.Module, path: str) -> list[Finding]:
 # ---------------------------------------------------------------------------
 
 
-def _registry_classes(tree: ast.Module, bases: set[str]) -> list[ast.ClassDef]:
-    out = []
-    for node in ast.walk(tree):
-        if (
-            isinstance(node, ast.ClassDef)
-            and not node.name.startswith("_")
-            and (_base_names(node) & bases or any(b.endswith("Attack") for b in _base_names(node)))
-        ):
-            out.append(node)
-    return out
+def _registry_classes(
+    tree: ast.Module, bases: set[str], registered: set[str]
+) -> list[ast.ClassDef]:
+    """Public classes subclassing a registry base, a class of the package
+    registry (``registered``), or another registry class of the module."""
+    classes = [node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]
+    known = bases | registered
+    found: set[str] = set()
+    while True:
+        more = {
+            cls.name for cls in classes
+            if cls.name not in found
+            and (_base_names(cls) & known
+                 or any(b.endswith("Attack") for b in _base_names(cls)))
+        }
+        if not more:
+            break
+        found |= more
+        known |= more
+    return [cls for cls in classes if cls.name in found and not cls.name.startswith("_")]
 
 
 def _check_rg004(
@@ -456,7 +466,7 @@ def _check_rg004(
     findings = []
     module_all = _module_all(tree)
     pkg_all = package_all.get(package)
-    for cls in _registry_classes(tree, bases):
+    for cls in _registry_classes(tree, bases, pkg_all or set()):
         if module_all is not None and cls.name not in module_all:
             findings.append(
                 Finding(

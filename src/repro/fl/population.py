@@ -54,7 +54,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..config import FederationConfig
+from ..config import FederationConfig, ModelConfig
 from .client import FLClient
 
 __all__ = [
@@ -287,6 +287,11 @@ class ClientPopulation:
     def size(self) -> int:
         raise NotImplementedError
 
+    @property
+    def model_config(self) -> ModelConfig:
+        """The classifier architecture this population's clients train."""
+        raise NotImplementedError
+
     def materialize(self, cid: int) -> FLClient:
         """Client ``cid`` with its current state (a resident worker's source)."""
         raise NotImplementedError
@@ -329,6 +334,10 @@ class EagerPopulation(ClientPopulation):
     @property
     def size(self) -> int:
         return len(self._clients)
+
+    @property
+    def model_config(self) -> ModelConfig:
+        return self._clients[0].config.model
 
     def materialize(self, cid: int) -> FLClient:
         return self._by_id[cid]
@@ -436,6 +445,10 @@ class VirtualClientPopulation(ClientPopulation):
     @property
     def size(self) -> int:
         return self._partition.n_clients
+
+    @property
+    def model_config(self) -> ModelConfig:
+        return self._config.model
 
     @property
     def partition(self):

@@ -175,6 +175,7 @@ class Server:
             outgoing.close()
         backend.attach(self.population)
         self._backend = backend
+        self.context.backend = backend
 
     @property
     def clients(self):

@@ -17,8 +17,8 @@ from typing import Callable
 
 import numpy as np
 
-from .. import nn
 from ..data.dataset import Dataset
+from .parallel import ExecutionBackend
 from .updates import ClientUpdate
 
 __all__ = [
@@ -54,6 +54,9 @@ class ServerContext:
     auxiliary_dataset:
         A small public dataset. ONLY defenses that the paper grants one
         (Spectral) may touch it; FedGuard must not.
+    backend:
+        The execution backend :func:`predict_each` scores on. The server
+        sets its own; the default scores in this process.
     """
 
     make_classifier: Callable[[], object]
@@ -63,6 +66,7 @@ class ServerContext:
     class_probs: np.ndarray
     rng: np.random.Generator
     auxiliary_dataset: Dataset | None = None
+    backend: ExecutionBackend = field(default_factory=ExecutionBackend)
 
 
 @dataclass
@@ -144,13 +148,18 @@ def predict_each(
 ) -> np.ndarray:
     """Every submitted classifier's predictions on one shared batch, ``(K, N)``.
 
-    The round's ψ_j are stacked into one client-batched shell
-    (:func:`repro.nn.stack_parameters`) and scored by a single ``predict``,
-    which walks ``x`` in memory-bounded sample blocks — one row per update,
-    never a per-update loop.
+    The round's ψ_j are scored on the server's execution backend
+    (:meth:`~repro.fl.parallel.ExecutionBackend.predict`), one row per
+    update, never a per-update loop. In process they are stacked into one
+    client-batched shell (:func:`repro.nn.stack_parameters`) and scored by
+    a single ``predict``, which walks ``x`` in memory-bounded sample
+    blocks; a process pool scores shares of the stack in its workers,
+    with the same bytes.
     """
-    classifier = context.make_classifier()
-    nn.stack_parameters(np.stack([u.weights for u in updates]), classifier)
-    preds = classifier.predict(np.ascontiguousarray(x))
+    preds = context.backend.predict(
+        context.make_classifier(),
+        np.stack([u.weights for u in updates]),
+        np.ascontiguousarray(x),
+    )
     assert preds.shape == (len(updates), len(x))
     return preds

@@ -244,6 +244,53 @@ class TestRG004Registry:
         )
         assert findings == []
 
+    def test_flags_subclass_of_a_registered_defense(self):
+        # The base is in the package registry, not a Strategy by name.
+        source = """
+        from .fedguard import FedGuard
+
+        __all__ = []
+
+        class StrictGuard(FedGuard):
+            pass
+        """
+        findings = lint_source(
+            textwrap.dedent(source),
+            "src/repro/defenses/strict.py",
+            rules=["RG004"],
+            package_all={"defenses": {"FedGuard"}},
+        )
+        assert _rules(findings) == ["RG004"]
+        assert "'StrictGuard'" in findings[0].message
+
+    def test_flags_subclass_of_a_registry_class_of_the_module(self):
+        # Through an exported class and through a private one.
+        source = """
+        __all__ = ["Guard", "Visible"]
+
+        class Guard(Strategy):
+            pass
+
+        class _Base(Strategy):
+            pass
+
+        class StrictGuard(Guard):
+            pass
+
+        class Visible(_Base):
+            pass
+
+        class Forgotten(_Base):
+            pass
+        """
+        findings = lint_source(
+            textwrap.dedent(source),
+            "src/repro/defenses/guard.py",
+            rules=["RG004"],
+            package_all={"defenses": {"Guard", "Visible"}},
+        )
+        assert [f.message.split("'")[1] for f in findings] == ["StrictGuard", "Forgotten"]
+
     def test_ignores_private_and_out_of_scope_classes(self):
         source = """
         __all__ = []

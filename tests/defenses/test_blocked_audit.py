@@ -18,6 +18,12 @@ the BLAS kernel the block shape selects. With up to 32 (model, sample)
 pairs per block on the tiny MLP, OpenBLAS 0.3.31 (Haswell kernels) breaks
 some of those ties differently from the one-shot pass, so
 ``same_value_50`` runs at 16-sample blocks only.
+
+A two-worker process pool scores the audit in its workers whenever the
+one-process predict would take more than one block, each worker running
+its share of the stacked models with the full stack's block. At 16-sample
+blocks its histories must equal the same one-shot reference, ties
+included.
 """
 
 import numpy as np
@@ -44,7 +50,7 @@ def _history(config, strategy, scenario, budget, monkeypatch):
     return normalized(history)
 
 
-def _assert_budget_invisible(config, strategy, scenario, monkeypatch):
+def _assert_budget_invisible(config, strategy, scenario, monkeypatch, pool=False):
     sample_nbytes = build_classifier(config.model).sample_nbytes
     budgets = [16 * config.clients_per_round * sample_nbytes]
     if scenario != TIED_LOGITS:
@@ -54,6 +60,11 @@ def _assert_budget_invisible(config, strategy, scenario, monkeypatch):
         assert _history(config, strategy, scenario, budget, monkeypatch) == reference, (
             f"{strategy}/{scenario} history changed at a {budget}-byte block budget"
         )
+    if pool:
+        pooled = config.replace(backend="process", backend_workers=2)
+        assert _history(pooled, strategy, scenario, budgets[0], monkeypatch) == reference, (
+            f"{strategy}/{scenario} history changed when the pool scored the audit"
+        )
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -62,7 +73,8 @@ def _assert_budget_invisible(config, strategy, scenario, monkeypatch):
 def test_tiny_mlp_histories_independent_of_block_budget(
     strategy, scenario, seed, monkeypatch
 ):
-    _assert_budget_invisible(FederationConfig.tiny(seed=seed), strategy, scenario, monkeypatch)
+    _assert_budget_invisible(FederationConfig.tiny(seed=seed), strategy, scenario,
+                             monkeypatch, pool=seed == 0)
 
 
 @pytest.mark.slow
@@ -76,4 +88,4 @@ def test_paper_scaled_cnn_histories_independent_of_block_budget(
         seed=seed, n_clients=6, clients_per_round=6, rounds=2,
         train_samples=240, test_samples=60, local_epochs=1, cvae_epochs=2,
     )
-    _assert_budget_invisible(config, strategy, scenario, monkeypatch)
+    _assert_budget_invisible(config, strategy, scenario, monkeypatch, pool=True)
