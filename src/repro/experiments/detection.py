@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..fl.strategy import mean_cutoff
+
 __all__ = ["roc_curve", "auc", "DetectionReport", "detection_report"]
 
 
@@ -75,12 +77,16 @@ class DetectionReport:
 
 
 def detection_report(scores: np.ndarray, malicious: np.ndarray) -> DetectionReport:
-    """Full report: ROC AUC plus the paper's mean-threshold operating point."""
+    """Full report: ROC AUC plus the paper's mean-threshold operating point.
+
+    The operating point flags exactly the updates the filtering defenses
+    reject (:func:`~repro.fl.strategy.mean_cutoff`), so a tied round
+    flags none.
+    """
     scores = np.asarray(scores, dtype=np.float64)
     malicious = np.asarray(malicious, dtype=bool)
     fpr, tpr, _ = roc_curve(scores, malicious)
-    threshold = scores.mean()
-    flagged = scores < threshold
+    flagged = ~mean_cutoff(scores)
     n_pos = malicious.sum()
     n_neg = (~malicious).sum()
     return DetectionReport(

@@ -26,6 +26,7 @@ __all__ = [
     "AggregationResult",
     "Strategy",
     "weighted_average",
+    "mean_cutoff",
     "keep_at_mean",
     "predict_each",
 ]
@@ -121,23 +122,27 @@ def weighted_average(updates: list[ClientUpdate]) -> np.ndarray:
     return weights @ matrix
 
 
-def keep_at_mean(
-    updates: list[ClientUpdate], scores: np.ndarray
-) -> tuple[list[ClientUpdate], list[int]]:
-    """Keep the updates scoring at or above the round mean (Alg. 1 line 7).
+def mean_cutoff(scores: np.ndarray) -> np.ndarray:
+    """Which scores the round-mean cutoff keeps (Alg. 1 line 7), as a mask.
 
     Higher is better: a defense that scores by error passes the negated
     errors, which keeps exactly the updates with ``error <= error.mean()``
     (negation is exact, so ``(-e).mean()`` is bitwise ``-(e.mean())``).
     When no score reaches the mean — an all-equal round whose mean rounds
-    above every score, or a NaN score — every update is kept.
-
-    Returns the accepted updates and the rejected client ids, both in
-    submission order.
+    above every score, or a NaN score — every score is kept.
     """
     keep = scores >= scores.mean()
     if not keep.any():
         keep[:] = True
+    return keep
+
+
+def keep_at_mean(
+    updates: list[ClientUpdate], scores: np.ndarray
+) -> tuple[list[ClientUpdate], list[int]]:
+    """Split ``updates`` by :func:`mean_cutoff`: the accepted updates and
+    the rejected client ids, both in submission order."""
+    keep = mean_cutoff(scores)
     accepted = [u for u, k in zip(updates, keep) if k]
     rejected = [u.client_id for u, k in zip(updates, keep) if not k]
     return accepted, rejected

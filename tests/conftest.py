@@ -2,11 +2,30 @@
 
 from __future__ import annotations
 
+import multiprocessing
+
 import numpy as np
 import pytest
 
 from repro.config import FederationConfig, ModelConfig
 from repro.data import Dataset, SynthMnistConfig, generate_dataset
+
+
+@pytest.fixture(scope="module", autouse=True)
+def no_pool_worker_outlives_the_module():
+    """Fail a test module that leaves a resident pool worker running.
+
+    Module-scoped, because a class-scoped pool legitimately outlives single
+    tests. The leftovers are killed first, so the next module starts clean.
+    """
+    yield
+    left = [process for process in multiprocessing.active_children()
+            if process.name.startswith("repro-resident-worker-")]
+    for process in left:
+        process.kill()
+        process.join(timeout=5)
+    if left:
+        pytest.fail(f"pool workers outlived the module: {[p.name for p in left]}")
 
 
 @pytest.fixture

@@ -1,9 +1,12 @@
 """Detection-quality analysis tests."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from repro.experiments import DetectionReport, auc, detection_report, roc_curve
+from repro.fl.strategy import keep_at_mean
 
 
 class TestRocCurve:
@@ -62,6 +65,17 @@ class TestDetectionReport:
         report = detection_report(scores, malicious)
         assert report.auc == pytest.approx(1.0)            # perfectly separable...
         assert report.mean_threshold_fpr > 0.5             # ...but benign get cut
+
+    def test_tied_round_flags_what_the_defenses_reject(self):
+        """Three equal scores average to a mean that rounds above each of
+        them; the defenses keep all three, so the report flags none."""
+        scores = np.array([0.1, 0.1, 0.1])
+        malicious = np.array([True, False, False])
+        report = detection_report(scores, malicious)
+        assert report.mean_threshold_tpr == 0.0
+        assert report.mean_threshold_fpr == 0.0
+        updates = [SimpleNamespace(client_id=i) for i in range(3)]
+        assert keep_at_mean(updates, scores) == (updates, [])
 
     def test_on_real_fedguard_audit(self, rng):
         """AUC of actual FedGuard audit scores on a tiny federation."""

@@ -1,13 +1,18 @@
 """Execution backend tests: sequential/parallel equivalence."""
 
+import sys
+import weakref
+
 import numpy as np
 import pytest
 
+from repro import nn
 from repro.attacks import AttackScenario, no_attack
 from repro.config import FederationConfig
 from repro.defenses import FedAvg, FedGuard
 from repro.fl import ProcessPoolBackend, SequentialBackend
 from repro.fl.simulation import build_federation
+from repro.models import build_classifier
 
 
 class TestSequentialBackend:
@@ -19,6 +24,31 @@ class TestSequentialBackend:
         )
         assert len(updates) == len(participants) == len(times)
         assert all(t > 0 for t in times)
+
+    @pytest.mark.skipif(sys.version_info < (3, 11), reason=(
+        "before 3.11 a caller holds its arguments until the call returns"))
+    def test_predict_releases_the_weight_matrix_before_scoring(self, monkeypatch):
+        # The shell holds a copy of the (K, P) rows once they are stacked,
+        # so the matrix predict_each passes in is dead while the shell scores.
+        model = FederationConfig.tiny().model
+        shell = build_classifier(model)
+        refs, alive = [], []
+
+        def matrix():
+            weights = np.stack([nn.parameters_to_vector(shell)] * 3)
+            refs.append(weakref.ref(weights))
+            return weights
+
+        predict = type(shell).predict
+
+        def scoring(self, *args, **kwargs):
+            alive.append(refs[0]() is not None)
+            return predict(self, *args, **kwargs)
+
+        monkeypatch.setattr(type(shell), "predict", scoring)
+        preds = SequentialBackend().predict(shell, matrix(), np.zeros((5, model.input_dim)))
+        assert preds.shape == (3, 5)
+        assert alive == [False]
 
 
 class TestProcessPoolBackend:
