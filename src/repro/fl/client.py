@@ -253,6 +253,11 @@ class FLClient:
             self._decoder_version += 1
         return self._decoder_vector
 
+    @property
+    def held_decoder_version(self) -> int | None:
+        """Version of the trained decoder this client holds, None without one."""
+        return self._decoder_version if self._decoder_vector is not None else None
+
     # -- dynamic data ---------------------------------------------------------
     def ingest_stream(self, round_idx: int) -> None:
         """Pull this round's fresh samples from the data stream, if any.
