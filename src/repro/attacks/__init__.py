@@ -7,7 +7,7 @@ from .data_poisoning import PAPER_FLIP_PAIRS, LabelFlippingAttack
 from .decoder_poisoning import DecoderPoisoningAttack
 from .model_poisoning import AdditiveNoiseAttack, SameValueAttack, SignFlippingAttack
 from .optimized import DirectedDeviationAttack, ScalingAttack
-from .scenario import PAPER_SCENARIOS, AttackScenario, no_attack
+from .scenario import AttackScenario, no_attack
 from .sensor_fault import SensorFaultAttack
 
 __all__ = [
@@ -21,7 +21,6 @@ __all__ = [
     "PAPER_FLIP_PAIRS",
     "AttackScenario",
     "no_attack",
-    "PAPER_SCENARIOS",
     "BackdoorAttack",
     "apply_trigger",
     "backdoor_success_rate",

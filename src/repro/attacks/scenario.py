@@ -2,8 +2,9 @@
 
 A :class:`AttackScenario` bundles an attack with a malicious fraction and
 deterministically designates which client ids are corrupted (paper TM-4:
-"the adversary corrupts multiple clients"). The paper's five evaluation
-scenarios are exposed as constructors.
+"the adversary corrupts multiple clients"). The paper's evaluation
+scenarios are exposed as constructors; :mod:`repro.experiments.scenarios`
+names them.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from .base import Attack
 from .data_poisoning import LabelFlippingAttack
 from .model_poisoning import AdditiveNoiseAttack, SameValueAttack, SignFlippingAttack
 
-__all__ = ["AttackScenario", "no_attack", "PAPER_SCENARIOS"]
+__all__ = ["AttackScenario", "no_attack"]
 
 
 @dataclass(frozen=True)
@@ -79,14 +80,3 @@ class AttackScenario:
 def no_attack() -> AttackScenario:
     """The benign baseline every figure/table includes."""
     return AttackScenario(name="no_attack", attack=None, malicious_fraction=0.0)
-
-
-def PAPER_SCENARIOS() -> list[AttackScenario]:
-    """The five scenarios of Fig. 4 / Table IV, in the paper's column order."""
-    return [
-        AttackScenario.additive_noise(0.5),
-        AttackScenario.label_flipping(0.3),
-        AttackScenario.sign_flipping(0.5),
-        AttackScenario.same_value(0.5),
-        no_attack(),
-    ]

@@ -36,17 +36,3 @@ __all__ = [
     "PDGAN",
     "FedCVAE",
 ]
-
-
-def paper_strategies() -> dict:
-    """The five evaluation-table strategies keyed by their table names."""
-    return {
-        "fedavg": FedAvg(),
-        "geomed": GeoMed(),
-        "krum": Krum(),
-        "spectral": Spectral(),
-        "fedguard": FedGuard(),
-    }
-
-
-__all__.append("paper_strategies")

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from repro.attacks import (
-    PAPER_SCENARIOS,
     AttackScenario,
     LabelFlippingAttack,
     SameValueAttack,
     no_attack,
 )
+from repro.experiments import make_scenario, paper_scenario_names
 
 
 class TestMaliciousDesignation:
@@ -51,10 +51,8 @@ class TestValidation:
 
 class TestPaperScenarios:
     def test_five_scenarios(self):
-        scenarios = PAPER_SCENARIOS()
-        assert len(scenarios) == 5
-        names = [s.name for s in scenarios]
-        assert names == [
+        names = paper_scenario_names()
+        assert [make_scenario(name).name for name in names] == names == [
             "additive_noise_50",
             "label_flipping_30",
             "sign_flipping_50",
@@ -63,7 +61,7 @@ class TestPaperScenarios:
         ]
 
     def test_fractions_match_paper(self):
-        by_name = {s.name: s for s in PAPER_SCENARIOS()}
+        by_name = {name: make_scenario(name) for name in paper_scenario_names()}
         assert by_name["additive_noise_50"].malicious_fraction == 0.5
         assert by_name["label_flipping_30"].malicious_fraction == 0.3
         assert by_name["sign_flipping_50"].malicious_fraction == 0.5
