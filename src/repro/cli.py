@@ -32,7 +32,14 @@ import argparse
 import pathlib
 import sys
 
-from .config import BACKEND_KINDS, FederationConfig
+from .config import (
+    BACKEND_KINDS,
+    CHANNEL_KINDS,
+    ENGINE_KINDS,
+    PARTITION_SCHEMES,
+    SERVER_MODES,
+    FederationConfig,
+)
 from .experiments import (
     SCENARIO_FACTORIES,
     STRATEGY_FACTORIES,
@@ -64,8 +71,7 @@ def _add_config_args(parser: argparse.ArgumentParser) -> None:
                         help="number of clients N")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--server-lr", type=float, default=None)
-    parser.add_argument("--channel", choices=["in_memory", "lossy", "latency"],
-                        default=None,
+    parser.add_argument("--channel", choices=CHANNEL_KINDS, default=None,
                         help="transport channel (default: in_memory — "
                              "lossless, the paper's testbed)")
     parser.add_argument("--drop-prob", type=float, default=None,
@@ -79,14 +85,12 @@ def _add_config_args(parser: argparse.ArgumentParser) -> None:
                              "'process' = worker-resident pool)")
     parser.add_argument("--workers", type=int, default=None,
                         help="process backend: worker count (default: cpu count)")
-    parser.add_argument("--engine", choices=["loop", "batched"], default=None,
+    parser.add_argument("--engine", choices=ENGINE_KINDS, default=None,
                         help="local-training engine (default: loop; 'batched' "
                              "stacks all sampled clients into one leading-axis "
                              "pass — bit-identical histories, fewer Python "
                              "dispatches)")
-    parser.add_argument("--partition", choices=["dirichlet", "iid",
-                                                "pathological", "virtual"],
-                        default=None,
+    parser.add_argument("--partition", choices=PARTITION_SCHEMES, default=None,
                         help="data partition scheme (default: dirichlet; "
                              "'virtual' derives each client's sample draw "
                              "lazily per index — the only scheme that scales "
@@ -109,7 +113,7 @@ def _add_config_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--checkpoint-every", type=int, default=None,
                         help="checkpoint the full federation every k rounds "
                              "(0 = off; requires --checkpoint)")
-    parser.add_argument("--server-mode", choices=["sync", "async"], default=None,
+    parser.add_argument("--server-mode", choices=SERVER_MODES, default=None,
                         help="round mode (default: sync barrier rounds; "
                              "'async' = FedBuff-style buffered aggregation — "
                              "each round flushes the first --buffer-size "
@@ -128,66 +132,56 @@ def _add_config_args(parser: argparse.ArgumentParser) -> None:
                              "implies --server-mode async)")
 
 
+def _clients(n: int) -> dict:
+    """``--clients N``: N clients, half of them per round, 240 samples each."""
+    return {"n_clients": n, "clients_per_round": max(n // 2, 2),
+            "train_samples": n * 240}
+
+
+# Each config flag's argparse dest: the field its value sets (or a function
+# returning the fields), and the setting it implies. An explicit flag beats
+# an implied setting; of two implied settings the earlier flag's wins.
+_CONFIG_FLAGS = {
+    "rounds": ("rounds", {}),
+    "clients": (_clients, {}),
+    "server_lr": ("server_lr", {}),
+    "channel": ("channel", {}),
+    "drop_prob": ("channel_drop_prob", {"channel": "lossy"}),
+    "latency_base": ("channel_latency_base_s", {"channel": "latency"}),
+    "bandwidth": ("channel_bytes_per_s", {"channel": "latency"}),
+    "backend": ("backend", {}),
+    "workers": ("backend_workers", {"backend": "process"}),
+    "engine": ("engine", {}),
+    "partition": ("partition_scheme", {}),
+    "virtual_samples": ("virtual_samples_per_client", {"partition_scheme": "virtual"}),
+    "retries": ("retries", {}),
+    "backoff": ("retry_backoff_s", {}),
+    "deadline": ("deadline_s", {}),
+    "min_quorum": ("min_quorum", {}),
+    "checkpoint_every": ("checkpoint_every", {}),
+    "server_mode": ("server_mode", {}),
+    "buffer_size": ("buffer_size", {"server_mode": "async"}),
+    "max_staleness": ("max_staleness", {"server_mode": "async"}),
+    "staleness_weight": ("staleness_weight", {"server_mode": "async"}),
+}
+
+
 def _config_from_args(args) -> FederationConfig:
     overrides: dict = {"seed": args.seed}
-    if args.rounds is not None:
-        overrides["rounds"] = args.rounds
-    if args.clients is not None:
-        overrides["n_clients"] = args.clients
-        overrides["clients_per_round"] = max(args.clients // 2, 2)
-        overrides["train_samples"] = args.clients * 240
-    if getattr(args, "server_lr", None) is not None:
-        overrides["server_lr"] = args.server_lr
-    if getattr(args, "channel", None) is not None:
-        overrides["channel"] = args.channel
-    if getattr(args, "drop_prob", None) is not None:
-        overrides["channel_drop_prob"] = args.drop_prob
-        overrides.setdefault("channel", "lossy")
-    if getattr(args, "latency_base", None) is not None:
-        overrides["channel_latency_base_s"] = args.latency_base
-        overrides.setdefault("channel", "latency")
-    if getattr(args, "bandwidth", None) is not None:
-        overrides["channel_bytes_per_s"] = args.bandwidth
-        overrides.setdefault("channel", "latency")
-    if getattr(args, "backend", None) is not None:
-        overrides["backend"] = args.backend
-    if getattr(args, "workers", None) is not None:
-        overrides["backend_workers"] = args.workers
-        overrides.setdefault("backend", "process")
-    if getattr(args, "engine", None) is not None:
-        overrides["engine"] = args.engine
-    if getattr(args, "partition", None) is not None:
-        overrides["partition_scheme"] = args.partition
-    if getattr(args, "virtual_samples", None) is not None:
-        overrides["virtual_samples_per_client"] = args.virtual_samples
-        overrides.setdefault("partition_scheme", "virtual")
-    if getattr(args, "retries", None) is not None:
-        overrides["retries"] = args.retries
-    if getattr(args, "backoff", None) is not None:
-        overrides["retry_backoff_s"] = args.backoff
-    if getattr(args, "deadline", None) is not None:
-        overrides["deadline_s"] = args.deadline
-    if getattr(args, "min_quorum", None) is not None:
-        overrides["min_quorum"] = args.min_quorum
-    if getattr(args, "checkpoint_every", None) is not None:
-        overrides["checkpoint_every"] = args.checkpoint_every
-    if getattr(args, "server_mode", None) is not None:
-        overrides["server_mode"] = args.server_mode
-    if getattr(args, "buffer_size", None) is not None:
-        overrides["buffer_size"] = args.buffer_size
-        overrides.setdefault("server_mode", "async")
-    if getattr(args, "max_staleness", None) is not None:
-        overrides["max_staleness"] = args.max_staleness
-        overrides.setdefault("server_mode", "async")
-    if getattr(args, "staleness_weight", None) is not None:
-        overrides["staleness_weight"] = args.staleness_weight
-        overrides.setdefault("server_mode", "async")
+    implied: dict = {}
+    for dest, (field, implies) in _CONFIG_FLAGS.items():
+        value = getattr(args, dest, None)
+        if value is None:
+            continue
+        overrides.update(field(value) if callable(field) else {field: value})
+        for name, setting in implies.items():
+            implied.setdefault(name, setting)
     base = (
         FederationConfig.tiny
         if getattr(args, "profile", "scaled") == "tiny"
         else FederationConfig.paper_scaled
     )
-    return base(**overrides)
+    return base(**{**implied, **overrides})
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -15,11 +15,33 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, fields, replace
 
-__all__ = ["ModelConfig", "FederationConfig", "BACKEND_KINDS"]
+__all__ = [
+    "ModelConfig",
+    "FederationConfig",
+    "BACKEND_KINDS",
+    "CHANNEL_KINDS",
+    "SERVER_MODES",
+    "ENGINE_KINDS",
+    "PARTITION_SCHEMES",
+    "CLIENT_OPTIMIZERS",
+]
 
+# The legal values of each option, written once: config validation, the
+# CLI's choices and the factories that build each piece read these.
 # Client execution backends (repro.fl.parallel.make_backend): in-process,
 # or the worker-resident process pool.
 BACKEND_KINDS = ("sequential", "process")
+# Transport channels (repro.fl.transport.make_channel).
+CHANNEL_KINDS = ("in_memory", "lossy", "latency")
+# Round modes (repro.fl.modes.make_server_mode): barrier rounds or
+# FedBuff-style buffered async.
+SERVER_MODES = ("sync", "async")
+# Local-training engines (repro.fl.batched.make_engine).
+ENGINE_KINDS = ("loop", "batched")
+# Data partition schemes (repro.data.partition.partition_indices).
+PARTITION_SCHEMES = ("dirichlet", "iid", "pathological", "virtual")
+# Client-side optimizers.
+CLIENT_OPTIMIZERS = ("sgd", "adam")
 
 
 @dataclass(frozen=True)
@@ -85,7 +107,7 @@ class FederationConfig:
     batch_size: int = 32
     client_lr: float = 0.08
     client_momentum: float = 0.9
-    client_optimizer: str = "sgd"  # "sgd" | "adam"
+    client_optimizer: str = "sgd"  # one of CLIENT_OPTIMIZERS
     proximal_mu: float = 0.0       # >0 enables the FedProx proximal term
 
     # CVAE training (FedGuard clients; paper: 30 epochs, trained once)
@@ -101,7 +123,7 @@ class FederationConfig:
     train_samples: int = 4800
     test_samples: int = 400
     partition_alpha: float = 10.0
-    partition_scheme: str = "dirichlet"  # "dirichlet" | "iid" | "pathological" | "virtual"
+    partition_scheme: str = "dirichlet"  # one of PARTITION_SCHEMES
     virtual_samples_per_client: int = 0  # "virtual" scheme draw count (0 = pool/n)
 
     # dynamic datasets (future work §VI-C; 0 = the paper's static setting)
@@ -110,7 +132,7 @@ class FederationConfig:
     cvae_refresh_every: int = 0         # retrain the CVAE every k rounds (0 = once)
 
     # transport channel (repro.fl.transport; the paper's testbed is lossless)
-    channel: str = "in_memory"          # "in_memory" | "lossy" | "latency"
+    channel: str = "in_memory"          # one of CHANNEL_KINDS
     channel_drop_prob: float = 0.0      # lossy: per-message drop probability
     channel_latency_base_s: float = 0.0   # latency: fixed per-message seconds
     channel_bytes_per_s: float = 0.0      # latency: link bandwidth (0 = infinite)
@@ -124,7 +146,7 @@ class FederationConfig:
     # local-training engine (repro.fl.batched; "batched" stacks all sampled
     # clients into one leading-axis pass — bit-identical results, fewer
     # Python-loop dispatches)
-    engine: str = "loop"                # "loop" | "batched"
+    engine: str = "loop"                # one of ENGINE_KINDS
 
     # round-level recovery (repro.fl.faults / server phases; every knob
     # defaults OFF so lossless runs stay byte-identical to the seed loop)
@@ -137,7 +159,7 @@ class FederationConfig:
     # server round mode (repro.fl.modes; "async" is FedBuff-style buffered
     # aggregation — each round flushes the first buffer_size arrivals with
     # staleness-discounted weights; "sync" keeps the paper's barrier round)
-    server_mode: str = "sync"           # "sync" | "async"
+    server_mode: str = "sync"           # one of SERVER_MODES
     buffer_size: int = 0                # async: arrivals per flush (0 = clients_per_round)
     max_staleness: int = 0              # async: drop updates staler than this many flushes (0 = keep all)
     staleness_weight: str = "rsqrt"     # async discount: "rsqrt" 1/√(1+s) | "inverse" | "constant"
@@ -161,11 +183,6 @@ class FederationConfig:
             raise ValueError(
                 f"client_momentum must be in [0, 1), got {self.client_momentum}"
             )
-        if self.client_optimizer not in ("sgd", "adam"):
-            raise ValueError(
-                f"unknown client_optimizer {self.client_optimizer!r}; "
-                f"expected one of ('sgd', 'adam')"
-            )
         for name in ("clients_per_round", "batch_size", "cvae_batch_size",
                      "samples_per_client_factor", "client_lr", "cvae_lr",
                      "train_samples", "test_samples", "partition_alpha"):
@@ -180,39 +197,24 @@ class FederationConfig:
                      "buffer_size", "max_staleness", "async_concurrency"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
-        if self.channel not in ("in_memory", "lossy", "latency"):
-            raise ValueError(
-                f"unknown channel {self.channel!r}; "
-                f"expected one of ('in_memory', 'lossy', 'latency')"
-            )
         if not 0.0 <= self.channel_drop_prob <= 1.0:
             raise ValueError(
                 f"channel_drop_prob must be in [0, 1], got {self.channel_drop_prob}"
             )
-        if self.partition_scheme not in (
-            "dirichlet", "iid", "pathological", "virtual"
+        for label, value, known in (
+            ("client_optimizer", self.client_optimizer, CLIENT_OPTIMIZERS),
+            ("channel", self.channel, CHANNEL_KINDS),
+            ("partition scheme", self.partition_scheme, PARTITION_SCHEMES),
+            ("backend", self.backend, BACKEND_KINDS),
+            ("engine", self.engine, ENGINE_KINDS),
+            ("server mode", self.server_mode, SERVER_MODES),
         ):
-            raise ValueError(
-                f"unknown partition scheme {self.partition_scheme!r}; expected "
-                f"one of ('dirichlet', 'iid', 'pathological', 'virtual')"
-            )
-        if self.backend not in BACKEND_KINDS:
-            raise ValueError(
-                f"unknown backend {self.backend!r}; expected one of {BACKEND_KINDS}"
-            )
-        if self.engine not in ("loop", "batched"):
-            raise ValueError(
-                f"unknown engine {self.engine!r}; expected one of ('loop', 'batched')"
-            )
+            if value not in known:
+                raise ValueError(f"unknown {label} {value!r}; expected one of {known}")
         if not 0 <= self.min_quorum <= self.clients_per_round:
             raise ValueError(
                 f"min_quorum must be in [0, clients_per_round="
                 f"{self.clients_per_round}], got {self.min_quorum}"
-            )
-        if self.server_mode not in ("sync", "async"):
-            raise ValueError(
-                f"unknown server mode {self.server_mode!r}; "
-                f"expected one of ('sync', 'async')"
             )
         if self.buffer_size > self.n_clients:
             raise ValueError(

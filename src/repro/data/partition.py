@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..config import PARTITION_SCHEMES
 from .dataset import Dataset
 
 __all__ = [
@@ -194,7 +195,7 @@ def partition_indices(
     min_samples: int = 2,
     samples_per_client: int = 0,
 ) -> list[np.ndarray]:
-    """Per-client index arrays for the named scheme.
+    """Per-client index arrays for the named scheme (see ``PARTITION_SCHEMES``).
 
     The index arrays are a partition's compact form: a client population
     packs them once and slices a client's dataset out of the shared train
@@ -210,7 +211,9 @@ def partition_indices(
         return pathological_partition(labels, n_clients, classes_per_client, rng)
     if scheme == "virtual":
         return virtual_partition(labels, n_clients, rng, samples_per_client)
-    raise ValueError(f"unknown partition scheme {scheme!r}")
+    raise ValueError(
+        f"unknown partition scheme {scheme!r}; known: {PARTITION_SCHEMES}"
+    )
 
 
 def partition_dataset(

@@ -41,6 +41,7 @@ from itertools import groupby
 import numpy as np
 
 from .. import nn
+from ..config import ENGINE_KINDS
 from ..models import build_classifier
 from .client import FLClient
 from .updates import ClientUpdate
@@ -255,9 +256,6 @@ class BatchedEngine(TrainingEngine):
             clients, trained, global_weights, include_decoder, spent
         )
         return updates, [spent[client.client_id] for client in clients]
-
-
-ENGINE_KINDS = ("loop", "batched")
 
 
 def make_engine(kind: str) -> TrainingEngine:

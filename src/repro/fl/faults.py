@@ -135,23 +135,15 @@ class FaultPlan:
                 .crash_worker(2, round_idx=10)
                 .random_submit_drops(0.3))
 
-    Probabilistic drops use the plan's own seeded RNG stream (owned by the
-    :class:`FaultyChannel` that executes the plan), so they are as
+    Probabilistic drops (``random_broadcast_drops`` /
+    ``random_submit_drops``) use the plan's own seeded RNG stream (owned
+    by the :class:`FaultyChannel` that executes the plan), so they are as
     repeatable as the scripted entries.
     """
 
-    def __init__(
-        self,
-        seed: int = 0,
-        broadcast_drop_prob: float = 0.0,
-        submit_drop_prob: float = 0.0,
-    ) -> None:
-        for name, prob in (("broadcast_drop_prob", broadcast_drop_prob),
-                           ("submit_drop_prob", submit_drop_prob)):
-            if not 0.0 <= prob <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {prob}")
+    def __init__(self, seed: int = 0) -> None:
         self.seed = seed
-        self._drop_prob = {BROADCAST: broadcast_drop_prob, SUBMIT: submit_drop_prob}
+        self._drop_prob = {BROADCAST: 0.0, SUBMIT: 0.0}
         self.link_faults: list[LinkFault] = []
         self.worker_crashes: list[WorkerCrash] = []
         self._reindex()

@@ -189,15 +189,19 @@ _STATE_DTYPE = np.dtype([
 
 _U64 = 1 << 64
 
+# Rows a new store holds before its first doubling.
+INITIAL_CAPACITY = 256
+
 
 class PackedStateStore:
     """Array-backed store of per-client mutable state, O(touched) rows.
 
-    The structured array lives on the heap; capacity doubles on demand.
+    The structured array lives on the heap, :data:`INITIAL_CAPACITY` rows
+    to start; capacity doubles on demand.
     """
 
-    def __init__(self, initial_capacity: int = 256) -> None:
-        self._rows = np.zeros(max(initial_capacity, 1), dtype=_STATE_DTYPE)
+    def __init__(self) -> None:
+        self._rows = np.zeros(INITIAL_CAPACITY, dtype=_STATE_DTYPE)
         self._slots: dict[int, int] = {}
         self._decoders: dict[int, np.ndarray] = {}
         self._objects: dict[int, tuple] = {}

@@ -10,7 +10,7 @@ exploration floor so new or recovered clients keep getting audited).
 
 Both samplers are sized for virtual populations (``repro.fl.population``):
 cost per round is O(m + touched), never O(n_clients). Below the
-``exact_below`` threshold they reproduce the historical dense-array
+:data:`EXACT_BELOW` threshold they reproduce the historical dense-array
 draws bit-for-bit (golden histories depend on this); above it they
 switch to sparse algorithms — Floyd's sampling for the uniform case, a
 two-group weighted draw for reputations — that never allocate an
@@ -32,8 +32,8 @@ __all__ = [
 
 # Populations smaller than this use the historical dense-array draws so
 # existing seeds reproduce bit-identically; every paper-scale config
-# (N <= 100) is far below it.
-EXACT_BELOW_DEFAULT = 1 << 16
+# (N <= 100) is far below it. Both samplers read it at call time.
+EXACT_BELOW = 1 << 16
 
 
 def floyd_sample(n: int, m: int, rng: np.random.Generator) -> np.ndarray:
@@ -68,17 +68,14 @@ class ClientSampler:
 class UniformSampler(ClientSampler):
     """The paper's uniform-without-replacement sampling.
 
-    Populations below ``exact_below`` draw via ``rng.choice`` (the
+    Populations below :data:`EXACT_BELOW` draw via ``rng.choice`` (the
     historical path, bit-identical to every recorded history); larger
     ones use :func:`floyd_sample`, which is O(m) instead of the O(n)
     permutation ``choice`` builds internally.
     """
 
-    def __init__(self, exact_below: int = EXACT_BELOW_DEFAULT) -> None:
-        self.exact_below = int(exact_below)
-
     def sample(self, n_clients: int, m: int, rng: np.random.Generator) -> np.ndarray:
-        if n_clients < self.exact_below:
+        if n_clients < EXACT_BELOW:
             return rng.choice(n_clients, size=m, replace=False)
         return floyd_sample(n_clients, m, rng)
 
@@ -97,7 +94,7 @@ class ReputationSampler(ClientSampler):
     every untouched client is implicitly at the optimistic 1.0. The
     population may grow or shrink between rounds (virtual populations
     make N a free parameter); shrinking drops touched entries beyond the
-    new range. Below ``exact_below`` the dense probability vector is
+    new range. Below :data:`EXACT_BELOW` the dense probability vector is
     reconstructed and drawn exactly as the historical implementation did;
     above it a two-group weighted draw (touched clients by cumulative
     weight, the untouched mass by rejection sampling) keeps the round
@@ -109,23 +106,15 @@ class ReputationSampler(ClientSampler):
         EMA factor; higher = longer memory.
     epsilon:
         Exploration mass spread uniformly over all clients.
-    exact_below:
-        Population-size threshold for the bit-exact dense path.
     """
 
-    def __init__(
-        self,
-        decay: float = 0.8,
-        epsilon: float = 0.2,
-        exact_below: int = EXACT_BELOW_DEFAULT,
-    ) -> None:
+    def __init__(self, decay: float = 0.8, epsilon: float = 0.2) -> None:
         if not 0.0 <= decay < 1.0:
             raise ValueError(f"decay must be in [0, 1), got {decay}")
         if not 0.0 < epsilon <= 1.0:
             raise ValueError(f"epsilon must be in (0, 1], got {epsilon}")
         self.decay = decay
         self.epsilon = epsilon
-        self.exact_below = int(exact_below)
         self._touched: dict[int, float] = {}  # cid -> EMA value (float64)
         self._primed = False  # observe() is a no-op until first sample
 
@@ -151,7 +140,7 @@ class ReputationSampler(ClientSampler):
 
     def sample(self, n_clients: int, m: int, rng: np.random.Generator) -> np.ndarray:
         self._ensure(n_clients)
-        if n_clients < self.exact_below:
+        if n_clients < EXACT_BELOW:
             rep = self._dense(n_clients)
             if rep.sum() > 0:
                 base = rep / rep.sum()

@@ -102,7 +102,7 @@ class TestFaultPlan:
 
     def test_probability_validated(self):
         with pytest.raises(ValueError):
-            FaultPlan(broadcast_drop_prob=1.5)
+            FaultPlan().random_broadcast_drops(1.5)
         with pytest.raises(ValueError):
             FaultPlan().random_submit_drops(-0.1)
 

@@ -93,10 +93,11 @@ class TestReputationSampler:
         np.testing.assert_array_equal(rep, np.ones(3))
         assert sampler.reputation(8)[4] == pytest.approx(1.0)  # dropped
 
-    def test_sparse_path_respects_reputation(self):
-        # Above the exact_below threshold the two-group draw must still
+    def test_sparse_path_respects_reputation(self, monkeypatch):
+        # Above the EXACT_BELOW threshold the two-group draw must still
         # sample hammered clients less and keep costs off O(n_clients).
-        sampler = ReputationSampler(decay=0.1, epsilon=0.05, exact_below=1)
+        monkeypatch.setattr("repro.fl.sampling.EXACT_BELOW", 1)
+        sampler = ReputationSampler(decay=0.1, epsilon=0.05)
         rng = np.random.default_rng(0)
         sampler.sample(10, 2, rng)
         for _ in range(10):
@@ -109,8 +110,9 @@ class TestReputationSampler:
                 counts[cid] += 1
         assert counts[9] < counts[0] * 0.5
 
-    def test_sparse_path_scales_to_huge_populations(self):
-        sampler = ReputationSampler(exact_below=1 << 10)
+    def test_sparse_path_scales_to_huge_populations(self, monkeypatch):
+        monkeypatch.setattr("repro.fl.sampling.EXACT_BELOW", 1 << 10)
+        sampler = ReputationSampler()
         rng = np.random.default_rng(0)
         ids = sampler.sample(1_000_000, 500, rng)
         assert len(ids) == 500
@@ -143,8 +145,9 @@ class TestFloydSample:
         with pytest.raises(ValueError):
             floyd_sample(3, 4, rng)
 
-    def test_uniform_sampler_switches_to_floyd(self):
-        sampler = UniformSampler(exact_below=10)
+    def test_uniform_sampler_switches_to_floyd(self, monkeypatch):
+        monkeypatch.setattr("repro.fl.sampling.EXACT_BELOW", 10)
+        sampler = UniformSampler()
         rng = np.random.default_rng(0)
         ids = sampler.sample(1_000_000, 100, rng)
         assert len(np.unique(ids)) == 100

@@ -103,11 +103,11 @@ class TestBackendLifetime:
 
     def test_resumed_process_run_leaves_no_workers(self, tmp_path):
         config = FederationConfig.tiny(backend="process", backend_workers=2,
-                                       rounds=2)
+                                       rounds=2, checkpoint_every=1)
         path = tmp_path / "federation.ckpt"
         server = build_federation(config, FedAvg(), no_attack())
         try:
-            server.run(rounds=1, checkpoint_path=path, checkpoint_every=1)
+            server.run(rounds=1, checkpoint_path=path)
         finally:
             server.backend.close()
         before = set(multiprocessing.active_children())
