@@ -198,15 +198,15 @@ class FLClient:
         the incoming broadcast; local optimizers are rebuilt per fit. Only
         with an active stream does the dataset diverge from its
         construction-time state, so it (and the stream position) ship
-        exactly then.
+        exactly then. The decoder vector is shared, not copied: nothing
+        writes one in place (a retrain binds a new vector), so the
+        population's check-in, which runs before the audit, holds no
+        second copy of every fitted decoder.
         """
         streaming = self.stream is not None
         return {
             "rng_state": self.rng.bit_generator.state,
-            "decoder_vector": (
-                None if self._decoder_vector is None
-                else np.array(self._decoder_vector)
-            ),
+            "decoder_vector": self._decoder_vector,
             "decoder_version": self._decoder_version,
             "stream": self.stream if streaming else None,
             "dataset": self.dataset if streaming else None,
